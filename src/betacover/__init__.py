@@ -60,14 +60,7 @@ from .intervals import (
     meet,
     relation,
 )
-from .neighborhoods import (
-    NeighborhoodSystem,
-    complementary_crisp_neighborhood,
-    complementary_fuzzy_neighborhood,
-    crisp_neighborhood,
-    crisp_of,
-    fuzzy_neighborhood,
-)
+from .neighborhoods import NeighborhoodSystem, crisp_of
 from .serialize import (
     parse_set,
     parse_space,
@@ -81,7 +74,6 @@ from .space import (
     SoftSpace,
     build_space,
     is_full_covering,
-    soft_subset,
     validate_beta_covering,
 )
 
@@ -121,17 +113,13 @@ __all__ = [
     "build_space",
     "check",
     "complement",
-    "complementary_crisp_neighborhood",
-    "complementary_fuzzy_neighborhood",
     "crisp_lower",
-    "crisp_neighborhood",
     "crisp_of",
     "crisp_upper",
     "exhaustive_spaces",
     "family_join",
     "family_meet",
     "fuzzy_lower",
-    "fuzzy_neighborhood",
     "fuzzy_upper",
     "gen_space",
     "grid_intervals",
@@ -150,6 +138,5 @@ __all__ = [
     "serialize_space",
     "serialize_space_csv",
     "shrink_counterexample",
-    "soft_subset",
     "validate_beta_covering",
 ]

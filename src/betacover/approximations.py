@@ -1,21 +1,21 @@
 """Four kinds of lower/upper approximation operators, fuzzy and crisp.
 
-Fuzzy operators fold a per-kind kernel over the universe:
+Only the upper operators are computed.  The fuzzy upper operator folds
+a per-kind kernel over the universe: kind 1 uses the fuzzy neighborhood
+N, kind 2 its transpose M, kind 3 their meet and kind 4 their join
+(``NeighborhoodSystem.kernel``).  The crisp upper operator keeps the
+objects whose crisp neighborhood (kind 1), complementary neighborhood
+(kind 2), both (kind 3) or either (kind 4) meets the target.
 
-  kind 1 uses the fuzzy neighborhood N, kind 2 its transpose M,
-  kind 3 the meet-style combination of the two, kind 4 the join-style
-  combination.  The kind-4 kernels parenthesize as
-  ``((N^c and M^c) or X)`` for the lower operator and
-  ``((N or M) and X)`` for the upper operator; only this reading makes
-  the proved identities lower4 = lower1 meet lower2 and
-  upper4 = upper1 join upper2 hold, and the audit asserts them.
-
-Crisp operators are the defining set comprehensions over the crisp
-neighborhoods and their transposes.
-
-The fast path consumes precomputed neighborhood matrices and runs on
-raw rational endpoints; the definition-literal slow path lives in
-``betacover.oracle`` and is kept as the independent cross-check.
+Each lower operator is the dual of its upper operator,
+lower(X) = upper(X^c)^c, for both modes and all four kinds.  In the
+kind-4 fuzzy case this reads ``((N or M) and X)`` for the upper kernel,
+so the lower kernel is ``((N^c and M^c) or X)``: the reading under
+which lower4 = lower1 meet lower2 and upper4 = upper1 join upper2 hold,
+as the audit asserts.  The duality laws (A*-P2, CA*-P6) therefore hold
+here by construction; the definition-literal slow path in
+``betacover.oracle`` computes both operators independently and is the
+cross-check for the lower ones.
 """
 
 from __future__ import annotations
@@ -69,88 +69,9 @@ def _check_universe(space: SoftSpace, target: Target) -> None:
         raise UniverseMismatchError("target set is over a different universe")
 
 
-def _lower_base(ns: NeighborhoodSystem, kind: Kind):
-    # Complement-side kernel matrix for the lower operator, cached per kind.
-    cache = ns.__dict__.setdefault("_lower_base_cache", {})
-    if kind not in cache:
-        nc, mc = ns._nc, ns._mc
-        if kind is Kind.K1:
-            base = nc
-        elif kind is Kind.K2:
-            base = mc
-        elif kind is Kind.K3:
-            base = tuple(
-                tuple(a.join(b) for a, b in zip(r1, r2)) for r1, r2 in zip(nc, mc)
-            )
-        else:
-            base = tuple(
-                tuple(a.meet(b) for a, b in zip(r1, r2)) for r1, r2 in zip(nc, mc)
-            )
-        cache[kind] = base
-    return cache[kind]
-
-
-def _upper_base(ns: NeighborhoodSystem, kind: Kind):
-    cache = ns.__dict__.setdefault("_upper_base_cache", {})
-    if kind not in cache:
-        n, m = ns._n, ns._m
-        if kind is Kind.K1:
-            base = n
-        elif kind is Kind.K2:
-            base = m
-        elif kind is Kind.K3:
-            base = tuple(
-                tuple(a.meet(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m)
-            )
-        else:
-            base = tuple(
-                tuple(a.join(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m)
-            )
-        cache[kind] = base
-    return cache[kind]
-
-
-def fuzzy_lower(
-    space: SoftSpace,
-    kind: Union[int, Kind],
-    target: IVFuzzySet,
-    system: Optional[NeighborhoodSystem] = None,
-) -> IVFuzzySet:
-    """Per-object meet over y of (kernel-complement(y) or target(y))."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    ns = _system(space, system)
-    base = _lower_base(ns, kind)
-    glo = [g.lo for g in target.grades]
-    ghi = [g.hi for g in target.grades]
-    n = len(glo)
-    out = []
-    for i in range(n):
-        row = base[i]
-        acc_lo = acc_hi = None
-        for j in range(n):
-            b = row[j]
-            vlo = b.lo if b.lo > glo[j] else glo[j]
-            vhi = b.hi if b.hi > ghi[j] else ghi[j]
-            if acc_lo is None or vlo < acc_lo:
-                acc_lo = vlo
-            if acc_hi is None or vhi < acc_hi:
-                acc_hi = vhi
-        out.append(IntervalValue(acc_lo, acc_hi))
-    return IVFuzzySet(space.universe, tuple(out))
-
-
-def fuzzy_upper(
-    space: SoftSpace,
-    kind: Union[int, Kind],
-    target: IVFuzzySet,
-    system: Optional[NeighborhoodSystem] = None,
-) -> IVFuzzySet:
-    """Per-object join over y of (kernel(y) and target(y))."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    ns = _system(space, system)
-    base = _upper_base(ns, kind)
+def _upper_grades(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
+    """Per-object join over y of (kernel(y) and target(y)), on raw endpoints."""
+    base = ns.kernel(kind.value)
     glo = [g.lo for g in target.grades]
     ghi = [g.hi for g in target.grades]
     n = len(glo)
@@ -167,56 +88,20 @@ def fuzzy_upper(
             if acc_hi is None or vhi > acc_hi:
                 acc_hi = vhi
         out.append(IntervalValue(acc_lo, acc_hi))
-    return IVFuzzySet(space.universe, tuple(out))
+    return IVFuzzySet(target.universe, tuple(out))
 
 
-def crisp_lower(
-    space: SoftSpace,
-    kind: Union[int, Kind],
-    target: CrispSubset,
-    system: Optional[NeighborhoodSystem] = None,
-) -> CrispSubset:
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    ns = _system(space, system)
-    u = space.universe
+def _upper_members(ns: NeighborhoodSystem, kind: Kind, target: CrispSubset) -> CrispSubset:
+    """Objects whose crisp neighborhoods of the kind meet the target."""
+    u = target.universe
     x_idx = frozenset(u.index(o) for o in target.members)
     members = []
     for i, obj in enumerate(u.objects):
-        n_in = ns._crisp[i] <= x_idx
-        if kind is Kind.K1:
-            keep = n_in
-        else:
-            m_in = ns._crisp_co[i] <= x_idx
-            if kind is Kind.K2:
-                keep = m_in
-            elif kind is Kind.K3:
-                keep = n_in or m_in
-            else:
-                keep = n_in and m_in
-        if keep:
-            members.append(obj)
-    return CrispSubset(u, frozenset(members))
-
-
-def crisp_upper(
-    space: SoftSpace,
-    kind: Union[int, Kind],
-    target: CrispSubset,
-    system: Optional[NeighborhoodSystem] = None,
-) -> CrispSubset:
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    ns = _system(space, system)
-    u = space.universe
-    x_idx = frozenset(u.index(o) for o in target.members)
-    members = []
-    for i, obj in enumerate(u.objects):
-        n_hits = bool(ns._crisp[i] & x_idx)
+        n_hits = bool(ns.crisp_indices(i) & x_idx)
         if kind is Kind.K1:
             keep = n_hits
         else:
-            m_hits = bool(ns._crisp_co[i] & x_idx)
+            m_hits = bool(ns.complementary_crisp_indices(i) & x_idx)
             if kind is Kind.K2:
                 keep = m_hits
             elif kind is Kind.K3:
@@ -226,6 +111,56 @@ def crisp_upper(
         if keep:
             members.append(obj)
     return CrispSubset(u, frozenset(members))
+
+
+def fuzzy_lower(
+    space: SoftSpace,
+    kind: Union[int, Kind],
+    target: IVFuzzySet,
+    system: Optional[NeighborhoodSystem] = None,
+) -> IVFuzzySet:
+    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
+    kind = Kind.of(kind)
+    _check_universe(space, target)
+    ns = _system(space, system)
+    return _upper_grades(ns, kind, target.complement()).complement()
+
+
+def fuzzy_upper(
+    space: SoftSpace,
+    kind: Union[int, Kind],
+    target: IVFuzzySet,
+    system: Optional[NeighborhoodSystem] = None,
+) -> IVFuzzySet:
+    """Per-object join over y of (kernel(y) and target(y))."""
+    kind = Kind.of(kind)
+    _check_universe(space, target)
+    return _upper_grades(_system(space, system), kind, target)
+
+
+def crisp_lower(
+    space: SoftSpace,
+    kind: Union[int, Kind],
+    target: CrispSubset,
+    system: Optional[NeighborhoodSystem] = None,
+) -> CrispSubset:
+    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
+    kind = Kind.of(kind)
+    _check_universe(space, target)
+    ns = _system(space, system)
+    return _upper_members(ns, kind, target.complement()).complement()
+
+
+def crisp_upper(
+    space: SoftSpace,
+    kind: Union[int, Kind],
+    target: CrispSubset,
+    system: Optional[NeighborhoodSystem] = None,
+) -> CrispSubset:
+    """Objects whose crisp neighborhoods of the kind meet the target."""
+    kind = Kind.of(kind)
+    _check_universe(space, target)
+    return _upper_members(_system(space, system), kind, target)
 
 
 def approximate(

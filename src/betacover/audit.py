@@ -19,20 +19,25 @@ bit for bit.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .approximations import Kind, crisp_lower, crisp_upper, fuzzy_lower, fuzzy_upper
-from .errors import NotACoveringError, UnknownTheoremError
+from .approximations import Target, Kind, crisp_lower, crisp_upper, fuzzy_lower, fuzzy_upper
+from .errors import UnknownTheoremError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .generate import (
     GenConfig,
     drop_object,
     drop_parameter,
     gen_space,
+    grade_table,
+    rebuild_space,
     sample_beta_below,
     sample_crisp_subset,
     sample_fuzzy_set,
@@ -43,8 +48,8 @@ from .generate import (
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
 from .neighborhoods import NeighborhoodSystem
-from .serialize import parse_space_doc, set_to_doc, space_to_doc
-from .space import SoftMapping, SoftSpace
+from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
+from .space import SoftSpace
 
 SCHEMA_VERSION = 1
 
@@ -93,14 +98,19 @@ class CheckInputs:
     space2: Optional[SoftSpace]
 
 
-def sample_inputs(space: SoftSpace, rng: random.Random, grid_denominator: int) -> CheckInputs:
+def sample_inputs(
+    space: SoftSpace,
+    rng: random.Random,
+    grid_denominator: int,
+    system: Optional[NeighborhoodSystem] = None,
+) -> CheckInputs:
     u = space.universe
     d = grid_denominator
     fuzzy_x = sample_fuzzy_set(u, rng, d)
     fuzzy_y = sample_fuzzy_set(u, rng, d)
     crisp_x = sample_crisp_subset(u, rng)
     crisp_y = sample_crisp_subset(u, rng)
-    ns = NeighborhoodSystem(space)
+    ns = NeighborhoodSystem(space) if system is None else system
     hypothesis_x = sample_hypothesis_set(ns, rng, d)
     beta_low = sample_beta_below(space.beta, rng, d)
     k = rng.randrange(1, len(u) + 1)
@@ -133,10 +143,7 @@ def _companion_space(space: SoftSpace, rng: random.Random) -> Optional[SoftSpace
     skip.
     """
     params = list(space.parameters)
-    table = {
-        p: {o: space.mapping.set_for(p).grade(o) for o in space.universe.objects}
-        for p in params
-    }
+    table = grade_table(space)
     mode = rng.randrange(3)
     if mode in (0, 2):
         source = rng.choice(params)
@@ -144,20 +151,22 @@ def _companion_space(space: SoftSpace, rng: random.Random) -> Optional[SoftSpace
     if mode in (1, 2) and len(table) > 1:
         victim = rng.choice(params)
         del table[victim]
-    try:
-        return SoftSpace(SoftMapping.from_dict(space.universe, table), space.beta)
-    except NotACoveringError:
-        return None
+    return rebuild_space(space, table)
 
 
 class TrialContext:
     """Per-trial caches: one neighborhood system, memoized approximations."""
 
-    def __init__(self, space: SoftSpace, inputs: CheckInputs):
+    def __init__(
+        self,
+        space: SoftSpace,
+        inputs: CheckInputs,
+        system: Optional[NeighborhoodSystem] = None,
+    ):
         self.space = space
         self.inputs = inputs
-        self._ns: Optional[NeighborhoodSystem] = None
-        self._memo: Dict[tuple, object] = {}
+        self._ns = system
+        self._memo: Dict[Hashable, object] = {}
 
     @property
     def ns(self) -> NeighborhoodSystem:
@@ -167,29 +176,21 @@ class TrialContext:
 
     def fl(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
         key = ("fl", kind, target.grades)
-        if key not in self._memo:
-            self._memo[key] = fuzzy_lower(self.space, kind, target, self.ns)
-        return self._memo[key]
+        return self.cached(key, lambda: fuzzy_lower(self.space, kind, target, self.ns))
 
     def fu(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
         key = ("fu", kind, target.grades)
-        if key not in self._memo:
-            self._memo[key] = fuzzy_upper(self.space, kind, target, self.ns)
-        return self._memo[key]
+        return self.cached(key, lambda: fuzzy_upper(self.space, kind, target, self.ns))
 
     def cl(self, kind: Kind, target: CrispSubset) -> CrispSubset:
         key = ("cl", kind, target.members)
-        if key not in self._memo:
-            self._memo[key] = crisp_lower(self.space, kind, target, self.ns)
-        return self._memo[key]
+        return self.cached(key, lambda: crisp_lower(self.space, kind, target, self.ns))
 
     def cu(self, kind: Kind, target: CrispSubset) -> CrispSubset:
         key = ("cu", kind, target.members)
-        if key not in self._memo:
-            self._memo[key] = crisp_upper(self.space, kind, target, self.ns)
-        return self._memo[key]
+        return self.cached(key, lambda: crisp_upper(self.space, kind, target, self.ns))
 
-    def cached(self, key: str, build: Callable[[], object]):
+    def cached(self, key: Hashable, build: Callable[[], object]):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -201,6 +202,20 @@ class TrialContext:
     @property
     def bottom(self) -> IVFuzzySet:
         return self.cached("bottom", lambda: IVFuzzySet.bottom(self.space.universe))
+
+    @property
+    def rows(self) -> List[Tuple[IntervalValue, ...]]:
+        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
+        return self.cached("rows", lambda: list(map(self.ns.fuzzy_row, self._indices)))
+
+    @property
+    def crisp(self) -> List[frozenset]:
+        """Index set of each object's crisp neighborhood."""
+        return self.cached("crisp", lambda: list(map(self.ns.crisp_indices, self._indices)))
+
+    @property
+    def _indices(self) -> range:
+        return range(len(self.space.universe))
 
 
 Checker = Callable[[TrialContext], CheckResult]
@@ -221,9 +236,20 @@ def _register(theorem_id: str, status: str, statement: str, checker: Checker) ->
     REGISTRY[theorem_id] = TheoremSpec(theorem_id, statement, status, checker)
 
 
+def _law(theorem_id: str, statement: str, status: str = "law") -> Callable[[Checker], Checker]:
+    """Register the decorated checker; the registry keeps definition order."""
+
+    def register(checker: Checker) -> Checker:
+        _register(theorem_id, status, statement, checker)
+        return checker
+
+    return register
+
+
 # -- interval-family lemma ---------------------------------------------------
 
 
+@_law("L-FAM-1", "probe <= meet(family) iff probe <= every member")
 def _check_lfam1(ctx: TrialContext) -> CheckResult:
     fam, probe = ctx.inputs.family, ctx.inputs.probe
     lhs = leq_bool(probe, family_meet(fam))
@@ -231,6 +257,7 @@ def _check_lfam1(ctx: TrialContext) -> CheckResult:
     return _verdict(lhs == rhs, probe=probe, family=[str(i) for i in fam])
 
 
+@_law("L-FAM-2", "probe <= some member implies probe <= join(family)")
 def _check_lfam2(ctx: TrialContext) -> CheckResult:
     fam, probe = ctx.inputs.family, ctx.inputs.probe
     if any(leq_bool(probe, i) for i in fam):
@@ -240,6 +267,7 @@ def _check_lfam2(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("L-FAM-3", "larger family has smaller meet")
 def _check_lfam3(ctx: TrialContext) -> CheckResult:
     fam = ctx.inputs.family
     superfam = fam + ctx.inputs.extra_family
@@ -250,26 +278,22 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
     )
 
 
-_register("L-FAM-1", "law", "probe <= meet(family) iff probe <= every member", _check_lfam1)
-_register("L-FAM-2", "law", "probe <= some member implies probe <= join(family)", _check_lfam2)
-_register("L-FAM-3", "law", "larger family has smaller meet", _check_lfam3)
-
-
 # -- fuzzy neighborhood laws -------------------------------------------------
 
 
+@_law("N-REFL", "beta <= N_x(x) for every x")
 def _check_nrefl(ctx: TrialContext) -> CheckResult:
-    ns, beta = ctx.ns, ctx.space.beta
+    n, beta = ctx.rows, ctx.space.beta
     for i, obj in enumerate(ctx.space.universe.objects):
-        if not leq_bool(beta, ns._n[i][i]):
-            return _fail(object=obj, grade=ns._n[i][i])
+        if not leq_bool(beta, n[i][i]):
+            return _fail(object=obj, grade=n[i][i])
     return _pass()
 
 
+@_law("N-TRANS", "beta <= N_x(y) and beta <= N_y(z) imply beta <= N_x(z)")
 def _check_ntrans(ctx: TrialContext) -> CheckResult:
-    ns, beta = ctx.ns, ctx.space.beta
+    n, beta = ctx.rows, ctx.space.beta
     u = ctx.space.universe.objects
-    n = ns._n
     size = len(u)
     for i in range(size):
         for j in range(size):
@@ -281,11 +305,11 @@ def _check_ntrans(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("N-MONO", "beta1 <= beta2 implies N^beta1_x is a fuzzy subset of N^beta2_x")
 def _check_nmono(ctx: TrialContext) -> CheckResult:
     low = ctx.inputs.beta_low
     space_low = SoftSpace(ctx.space.mapping, low)  # valid: low <= beta
-    ns_low = NeighborhoodSystem(space_low)
-    n_hi, n_lo = ctx.ns._n, ns_low._n
+    n_hi, n_lo = ctx.rows, TrialContext(space_low, ctx.inputs).rows
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -294,9 +318,9 @@ def _check_nmono(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("N-CONTAIN", "beta <= N_x(y) iff N_y is a fuzzy subset of N_x")
 def _check_ncontain(ctx: TrialContext) -> CheckResult:
-    ns, beta = ctx.ns, ctx.space.beta
-    n = ns._n
+    n, beta = ctx.rows, ctx.space.beta
     u = ctx.space.universe.objects
     size = len(u)
     for i in range(size):
@@ -308,9 +332,9 @@ def _check_ncontain(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("N-EQ", "beta <= N_x(y) and beta <= N_y(x) iff N_x = N_y")
 def _check_neq(ctx: TrialContext) -> CheckResult:
-    ns, beta = ctx.ns, ctx.space.beta
-    n = ns._n
+    n, beta = ctx.rows, ctx.space.beta
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -320,46 +344,21 @@ def _check_neq(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
-_register("N-REFL", "law", "beta <= N_x(x) for every x", _check_nrefl)
-_register(
-    "N-TRANS",
-    "law",
-    "beta <= N_x(y) and beta <= N_y(z) imply beta <= N_x(z)",
-    _check_ntrans,
-)
-_register(
-    "N-MONO",
-    "law",
-    "beta1 <= beta2 implies N^beta1_x is a fuzzy subset of N^beta2_x",
-    _check_nmono,
-)
-_register(
-    "N-CONTAIN",
-    "law",
-    "beta <= N_x(y) iff N_y is a fuzzy subset of N_x",
-    _check_ncontain,
-)
-_register(
-    "N-EQ",
-    "law",
-    "beta <= N_x(y) and beta <= N_y(x) iff N_x = N_y",
-    _check_neq,
-)
-
-
 # -- crisp neighborhood laws -------------------------------------------------
 
 
+@_law("CN-REFL", "x belongs to its own crisp neighborhood")
 def _check_cnrefl(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
+    crisp = ctx.crisp
     for i, obj in enumerate(ctx.space.universe.objects):
-        if i not in ns._crisp[i]:
+        if i not in crisp[i]:
             return _fail(object=obj)
     return _pass()
 
 
+@_law("CN-MEMB", "y in crisp(x) iff crisp(y) is a subset of crisp(x)")
 def _check_cnmemb(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.ns._crisp
+    crisp = ctx.crisp
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -368,8 +367,9 @@ def _check_cnmemb(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("CN-TRANS", "crisp neighborhood membership is transitive")
 def _check_cntrans(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.ns._crisp
+    crisp = ctx.crisp
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in crisp[i]:
@@ -378,8 +378,9 @@ def _check_cntrans(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
+@_law("CN-EQ", "crisp neighborhoods equal iff fuzzy neighborhoods equal")
 def _check_cneq(ctx: TrialContext) -> CheckResult:
-    crisp, n = ctx.ns._crisp, ctx.ns._n
+    crisp, n = ctx.crisp, ctx.rows
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -388,449 +389,292 @@ def _check_cneq(ctx: TrialContext) -> CheckResult:
     return _pass()
 
 
-def _cut(ctx: TrialContext, grades: Sequence[IntervalValue]) -> frozenset:
-    beta = ctx.space.beta
-    return frozenset(k for k, g in enumerate(grades) if leq_bool(beta, g))
+# How a family of objects combines: its crisp neighborhoods by the set
+# operation, its fuzzy rows pointwise by the interval one.
+_UNION = (frozenset.union, family_join)
+_MEET = (frozenset.intersection, family_meet)
 
 
-def _row_join(rows, indices):
-    return [family_join([rows[i][k] for i in indices]) for k in range(len(rows))]
+def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[frozenset, frozenset]:
+    """The combined crisp neighborhoods of a family, and the cut of its combined rows."""
+    combine_sets, combine_grades = ops
+    rows, beta = ctx.rows, ctx.space.beta
+    lhs = combine_sets(*(ctx.crisp[i] for i in idx))
+    rhs = frozenset(
+        k
+        for k in range(len(rows))
+        if leq_bool(beta, combine_grades([rows[i][k] for i in idx]))
+    )
+    return lhs, rhs
 
 
-def _row_meet(rows, indices):
-    return [family_meet([rows[i][k] for i in indices]) for k in range(len(rows))]
+def _pairs(ctx: TrialContext) -> Iterator[Tuple[int, int]]:
+    return itertools.product(range(len(ctx.space.universe)), repeat=2)
 
 
-def _check_cnlattice1(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
+def _check_cn_pairs(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            lhs = ns._crisp[i] | ns._crisp[j]
-            rhs = _cut(ctx, _row_join(ns._n, (i, j)))
-            if not lhs <= rhs:
-                return _fail(x=u[i], y=u[j], lhs=sorted(lhs), rhs=sorted(rhs))
+    for i, j in _pairs(ctx):
+        lhs, rhs = _lattice_sides(ctx, (i, j), ops)
+        if not holds(lhs, rhs):
+            return _fail(x=u[i], y=u[j], lhs=sorted(lhs), rhs=sorted(rhs))
     return _pass()
 
 
-def _check_cnlattice2(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            lhs = ns._crisp[i] & ns._crisp[j]
-            rhs = _cut(ctx, _row_meet(ns._n, (i, j)))
-            if lhs != rhs:
-                return _fail(x=u[i], y=u[j], lhs=sorted(lhs), rhs=sorted(rhs))
-    return _pass()
-
-
-def _family_indices(ctx: TrialContext) -> List[int]:
+def _check_cn_family(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe
-    return [u.index(o) for o in ctx.inputs.objects]
+    lhs, rhs = _lattice_sides(ctx, [u.index(o) for o in ctx.inputs.objects], ops)
+    return _verdict(
+        holds(lhs, rhs), family=list(ctx.inputs.objects), lhs=sorted(lhs), rhs=sorted(rhs)
+    )
 
 
-def _check_cnlattice3(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
-    idx = _family_indices(ctx)
-    lhs = frozenset().union(*(ns._crisp[i] for i in idx))
-    rhs = _cut(ctx, _row_join(ns._n, idx))
-    return _verdict(lhs <= rhs, family=list(ctx.inputs.objects), lhs=sorted(lhs), rhs=sorted(rhs))
-
-
-def _check_cnlattice4(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
-    idx = _family_indices(ctx)
-    lhs = ns._crisp[idx[0]]
-    for i in idx[1:]:
-        lhs = lhs & ns._crisp[i]
-    rhs = _cut(ctx, _row_meet(ns._n, idx))
-    return _verdict(lhs == rhs, family=list(ctx.inputs.objects), lhs=sorted(lhs), rhs=sorted(rhs))
-
-
-_register("CN-REFL", "law", "x belongs to its own crisp neighborhood", _check_cnrefl)
-_register(
-    "CN-MEMB",
-    "law",
-    "y in crisp(x) iff crisp(y) is a subset of crisp(x)",
-    _check_cnmemb,
-)
-_register("CN-TRANS", "law", "crisp neighborhood membership is transitive", _check_cntrans)
-_register(
-    "CN-EQ",
-    "law",
-    "crisp neighborhoods equal iff fuzzy neighborhoods equal",
-    _check_cneq,
-)
 _register(
     "CN-LATTICE-1",
     "law",
     "crisp(x) union crisp(y) is contained in the cut of N_x join N_y",
-    _check_cnlattice1,
+    partial(_check_cn_pairs, _UNION, operator.le),
 )
 _register(
     "CN-LATTICE-2",
     "law",
     "crisp(x) intersect crisp(y) equals the cut of N_x meet N_y",
-    _check_cnlattice2,
+    partial(_check_cn_pairs, _MEET, operator.eq),
 )
 _register(
     "CN-LATTICE-3",
     "law",
     "indexed union of crisp neighborhoods is contained in the cut of the joined rows",
-    _check_cnlattice3,
+    partial(_check_cn_family, _UNION, operator.le),
 )
 _register(
     "CN-LATTICE-4",
     "law",
     "indexed intersection of crisp neighborhoods equals the cut of the met rows",
-    _check_cnlattice4,
+    partial(_check_cn_family, _MEET, operator.eq),
 )
 
 
 # -- fuzzy approximation operator properties ---------------------------------
 
 
-def _hypothesis_holds(ctx: TrialContext, target: IVFuzzySet) -> bool:
-    n = ctx.ns._n
-    for i in range(len(ctx.space.universe)):
-        diag = n[i][i]
-        g = target.grades[i]
-        if not (leq_bool(diag.complement(), g) and leq_bool(g, diag)):
-            return False
-    return True
-
-
 def _hypothesis_target(ctx: TrialContext) -> Optional[IVFuzzySet]:
+    """The sampled target, if it satisfies N_x(x)^c <= X(x) <= N_x(x) at every x."""
     target = ctx.inputs.hypothesis_x
-    if target is None or not _hypothesis_holds(ctx, target):
+    if target is None:
         return None
+    for i, g in enumerate(target.grades):
+        diag = ctx.rows[i][i]
+        if not (leq_bool(diag.complement(), g) and leq_bool(g, diag)):
+            return None
     return target
 
 
-def _check_a_p1(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        ok = ctx.fl(kind, ctx.top) == ctx.top and ctx.fu(kind, ctx.bottom) == ctx.bottom
-        return _verdict(
-            ok,
-            lower_of_top=ctx.fl(kind, ctx.top).to_json()["grades"],
-            upper_of_bottom=ctx.fu(kind, ctx.bottom).to_json()["grades"],
-        )
+@dataclass(frozen=True)
+class _Mode:
+    """What a statement shared by the fuzzy and crisp operators reads from a trial."""
 
-    return checker
-
-
-def _check_a_p2(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.fuzzy_x
-        xc = x.complement()
-        ok = (
-            ctx.fl(kind, xc) == ctx.fu(kind, x).complement()
-            and ctx.fu(kind, xc) == ctx.fl(kind, x).complement()
-        )
-        return _verdict(ok, target=set_to_doc(x))
-
-    return checker
+    name: str  # "fuzzy" | "crisp"
+    lower: str  # memoized TrialContext operators
+    upper: str
+    x: str  # CheckInputs fields holding the two sampled targets
+    y: str
+    key: str  # detail key of the target in a one-target statement
+    doc: Callable[[Target], object]  # detail form of a target
+    bounded: Callable[[TrialContext], Optional[Target]]  # a target with L(X) in X in U(X)
 
 
-def _check_a_p3(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x, y = ctx.inputs.fuzzy_x, ctx.inputs.fuzzy_y
-        ok = (
-            ctx.fl(kind, x.intersect(y)) == ctx.fl(kind, x).intersect(ctx.fl(kind, y))
-            and ctx.fu(kind, x.union(y)) == ctx.fu(kind, x).union(ctx.fu(kind, y))
-        )
-        return _verdict(ok, x=set_to_doc(x), y=set_to_doc(y))
-
-    return checker
+def _members(target: CrispSubset) -> List[str]:
+    return sorted(target.members)
 
 
-def _check_a_p4(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.fuzzy_x
-        big = x.union(ctx.inputs.fuzzy_y)
-        ok = ctx.fl(kind, x).is_subset(ctx.fl(kind, big)) and ctx.fu(kind, x).is_subset(
-            ctx.fu(kind, big)
-        )
-        return _verdict(ok, small=set_to_doc(x), large=set_to_doc(big))
+_FUZZY = _Mode("fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", set_to_doc, _hypothesis_target)
+_CRISP = _Mode(
+    "crisp", "cl", "cu", "crisp_x", "crisp_y", "x", _members, operator.attrgetter("inputs.crisp_x")
+)
 
-    return checker
+_UNBOUNDED = "boundedness hypothesis infeasible or unsatisfied"
 
 
-def _check_a_p5(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x, y = ctx.inputs.fuzzy_x, ctx.inputs.fuzzy_y
-        ok = (
-            ctx.fl(kind, x).union(ctx.fl(kind, y)).is_subset(ctx.fl(kind, x.union(y)))
-            and ctx.fu(kind, x.intersect(y)).is_subset(
-                ctx.fu(kind, x).intersect(ctx.fu(kind, y))
-            )
-        )
-        return _verdict(ok, x=set_to_doc(x), y=set_to_doc(y))
-
-    return checker
+def _bind(ctx: TrialContext, mode: _Mode, kind: Kind):
+    """The mode's lower and upper operators of one kind, and its two targets."""
+    lower = partial(getattr(ctx, mode.lower), kind)
+    upper = partial(getattr(ctx, mode.upper), kind)
+    return lower, upper, getattr(ctx.inputs, mode.x), getattr(ctx.inputs, mode.y)
 
 
-def _check_a_p6(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        target = _hypothesis_target(ctx)
-        if target is None:
-            return _skip("boundedness hypothesis infeasible or unsatisfied")
-        ok = ctx.fl(kind, target).is_subset(target) and target.is_subset(ctx.fu(kind, target))
-        return _verdict(ok, target=set_to_doc(target))
-
-    return checker
+def _chain(*sets) -> bool:
+    """Each set is a subset of the next."""
+    return all(a.is_subset(b) for a, b in zip(sets, sets[1:]))
 
 
-def _check_a_p7(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        target = _hypothesis_target(ctx)
-        if target is None:
-            return _skip("boundedness hypothesis infeasible or unsatisfied")
-        lower = ctx.fl(kind, target)
-        upper = ctx.fu(kind, target)
-        ok = (
-            ctx.fl(kind, lower).is_subset(lower)
-            and lower.is_subset(target)
-            and target.is_subset(upper)
-            and upper.is_subset(ctx.fu(kind, upper))
-        )
-        return _verdict(ok, target=set_to_doc(target))
-
-    return checker
+# Each property below is checked by a function of (mode, kind, trial);
+# the registry holds it with the mode and kind bound.
 
 
-def _check_a_p8(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.fuzzy_x
-        y = x.union(ctx.inputs.fuzzy_y)  # guarantees x subset y
-        ok = (
-            ctx.fl(kind, x).union(ctx.fl(kind, y)) == ctx.fl(kind, x.union(y))
-            and ctx.fu(kind, x.intersect(y)) == ctx.fu(kind, x).intersect(ctx.fu(kind, y))
-        )
-        return _verdict(ok, small=set_to_doc(x), large=set_to_doc(y))
+def _check_a_p1(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, _, _ = _bind(ctx, mode, kind)
+    ok = lower(ctx.top) == ctx.top and upper(ctx.bottom) == ctx.bottom
+    return _verdict(
+        ok,
+        lower_of_top=lower(ctx.top).to_json()["grades"],
+        upper_of_bottom=upper(ctx.bottom).to_json()["grades"],
+    )
 
-    return checker
+
+def _law_dual(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, x, _ = _bind(ctx, mode, kind)
+    xc = x.complement()
+    ok = lower(xc) == upper(x).complement() and upper(xc) == lower(x).complement()
+    return _verdict(ok, **{mode.key: mode.doc(x)})
+
+
+def _law_morphism(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, x, y = _bind(ctx, mode, kind)
+    ok = (
+        lower(x.intersect(y)) == lower(x).intersect(lower(y))
+        and upper(x.union(y)) == upper(x).union(upper(y))
+    )
+    return _verdict(ok, x=mode.doc(x), y=mode.doc(y))
+
+
+def _law_monotone(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, x, y = _bind(ctx, mode, kind)
+    big = x.union(y)
+    ok = lower(x).is_subset(lower(big)) and upper(x).is_subset(upper(big))
+    return _verdict(ok, small=mode.doc(x), large=mode.doc(big))
+
+
+def _law_subdistributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, x, y = _bind(ctx, mode, kind)
+    ok = (
+        lower(x).union(lower(y)).is_subset(lower(x.union(y)))
+        and upper(x.intersect(y)).is_subset(upper(x).intersect(upper(y)))
+    )
+    return _verdict(ok, x=mode.doc(x), y=mode.doc(y))
+
+
+def _law_inclusion(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, _, _ = _bind(ctx, mode, kind)
+    target = mode.bounded(ctx)
+    if target is None:
+        return _skip(_UNBOUNDED)
+    ok = _chain(lower(target), target, upper(target))
+    return _verdict(ok, **{mode.key: mode.doc(target)})
+
+
+def _law_iteration(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, _, _ = _bind(ctx, mode, kind)
+    target = mode.bounded(ctx)
+    if target is None:
+        return _skip(_UNBOUNDED)
+    low, up = lower(target), upper(target)
+    ok = _chain(lower(low), low, target, up, upper(up))
+    return _verdict(ok, **{mode.key: mode.doc(target)})
+
+
+def _law_nested_distributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, x, y = _bind(ctx, mode, kind)
+    y = x.union(y)  # guarantees x subset y
+    ok = (
+        lower(x).union(lower(y)) == lower(x.union(y))
+        and upper(x.intersect(y)) == upper(x).intersect(upper(y))
+    )
+    return _verdict(ok, small=mode.doc(x), large=mode.doc(y))
 
 
 _A_PROPS = {
     1: ("lower of the full set is full; upper of the empty set is empty", _check_a_p1),
-    2: ("lower and upper are dual under complement", _check_a_p2),
-    3: ("lower is a meet morphism; upper is a join morphism", _check_a_p3),
-    4: ("lower and upper are monotone under fuzzy inclusion", _check_a_p4),
-    5: ("lower sub-distributes over union; upper over intersection", _check_a_p5),
-    6: ("bounded targets sit between lower and upper", _check_a_p6),
-    7: ("iterating tightens: LL(X) in L(X) in X in U(X) in UU(X)", _check_a_p7),
-    8: ("with X in Y the sub-distributions become equalities", _check_a_p8),
+    2: ("lower and upper are dual under complement", _law_dual),
+    3: ("lower is a meet morphism; upper is a join morphism", _law_morphism),
+    4: ("lower and upper are monotone under fuzzy inclusion", _law_monotone),
+    5: ("lower sub-distributes over union; upper over intersection", _law_subdistributive),
+    6: ("bounded targets sit between lower and upper", _law_inclusion),
+    7: ("iterating tightens: LL(X) in L(X) in X in U(X) in UU(X)", _law_iteration),
+    8: ("with X in Y the sub-distributions become equalities", _law_nested_distributive),
 }
 
 for _kind in Kind:
-    for _prop, (_stmt, _factory) in _A_PROPS.items():
+    for _prop, (_stmt, _law_fn) in _A_PROPS.items():
         _register(
             f"A{_kind.value}-P{_prop}",
             "law",
             f"kind {_kind.value} fuzzy operators: {_stmt}",
-            _factory(_kind),
+            partial(_law_fn, _FUZZY, _kind),
         )
 
 
 # -- crisp approximation operator properties ---------------------------------
 
 
-def _check_ca_p1(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        u = ctx.space.universe
-        empty, full = CrispSubset.empty(u), CrispSubset.full(u)
-        ok = ctx.cl(kind, empty) == empty and ctx.cl(kind, full) == full
-        return _verdict(ok)
-
-    return checker
-
-
-def _check_ca_p2(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        u = ctx.space.universe
-        empty, full = CrispSubset.empty(u), CrispSubset.full(u)
-        ok = ctx.cu(kind, empty) == empty and ctx.cu(kind, full) == full
-        return _verdict(ok)
-
-    return checker
-
-
-def _check_ca_p3(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.crisp_x
-        big = x.union(ctx.inputs.crisp_y)
-        ok = ctx.cl(kind, x).is_subset(ctx.cl(kind, big)) and ctx.cu(kind, x).is_subset(
-            ctx.cu(kind, big)
-        )
-        return _verdict(ok, small=sorted(x.members), large=sorted(big.members))
-
-    return checker
-
-
-def _check_ca_p4(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x, y = ctx.inputs.crisp_x, ctx.inputs.crisp_y
-        ok = (
-            ctx.cl(kind, x).union(ctx.cl(kind, y)).is_subset(ctx.cl(kind, x.union(y)))
-            and ctx.cu(kind, x.intersection(y)).is_subset(
-                ctx.cu(kind, x).intersection(ctx.cu(kind, y))
-            )
-        )
-        return _verdict(ok, x=sorted(x.members), y=sorted(y.members))
-
-    return checker
-
-
-def _check_ca_p5(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x, y = ctx.inputs.crisp_x, ctx.inputs.crisp_y
-        ok = (
-            ctx.cl(kind, x).intersection(ctx.cl(kind, y)) == ctx.cl(kind, x.intersection(y))
-            and ctx.cu(kind, x.union(y)) == ctx.cu(kind, x).union(ctx.cu(kind, y))
-        )
-        return _verdict(ok, x=sorted(x.members), y=sorted(y.members))
-
-    return checker
-
-
-def _check_ca_p6(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.crisp_x
-        xc = x.complement()
-        ok = (
-            ctx.cl(kind, xc) == ctx.cu(kind, x).complement()
-            and ctx.cu(kind, xc) == ctx.cl(kind, x).complement()
-        )
-        return _verdict(ok, x=sorted(x.members))
-
-    return checker
-
-
-def _check_ca_p7(kind: Kind):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.crisp_x
-        ok = ctx.cl(kind, x).is_subset(x) and x.is_subset(ctx.cu(kind, x))
-        return _verdict(ok, x=sorted(x.members))
-
-    return checker
+def _check_ca_bounds(side: str, mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+    """The lower or upper operator maps the empty and the full set to themselves."""
+    op = partial(getattr(ctx, getattr(mode, side)), kind)
+    u = ctx.space.universe
+    empty, full = CrispSubset.empty(u), CrispSubset.full(u)
+    return _verdict(op(empty) == empty and op(full) == full)
 
 
 _CA_PROPS = {
-    1: ("lower preserves the empty and full sets", _check_ca_p1),
-    2: ("upper preserves the empty and full sets", _check_ca_p2),
-    3: ("lower and upper are monotone", _check_ca_p3),
-    4: ("lower sub-distributes over union; upper over intersection", _check_ca_p4),
-    5: ("lower is an intersection morphism; upper is a union morphism", _check_ca_p5),
-    6: ("lower and upper are dual under complement", _check_ca_p6),
-    7: ("lower(X) in X in upper(X)", _check_ca_p7),
+    1: ("lower preserves the empty and full sets", partial(_check_ca_bounds, "lower")),
+    2: ("upper preserves the empty and full sets", partial(_check_ca_bounds, "upper")),
+    3: ("lower and upper are monotone", _law_monotone),
+    4: ("lower sub-distributes over union; upper over intersection", _law_subdistributive),
+    5: ("lower is an intersection morphism; upper is a union morphism", _law_morphism),
+    6: ("lower and upper are dual under complement", _law_dual),
+    7: ("lower(X) in X in upper(X)", _law_inclusion),
 }
 
 for _kind in Kind:
     status = "law" if _kind is Kind.K1 else "conjecture"
-    for _prop, (_stmt, _factory) in _CA_PROPS.items():
+    for _prop, (_stmt, _law_fn) in _CA_PROPS.items():
         _register(
             f"CA{_kind.value}-P{_prop}",
             status,
             f"kind {_kind.value} crisp operators: {_stmt}",
-            _factory(_kind),
+            partial(_law_fn, _CRISP, _kind),
         )
 
 
 # -- relationships between the four kinds -------------------------------------
 
-
-def _check_rel_f(index: int):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.fuzzy_x
-        fl, fu = ctx.fl, ctx.fu
-        if index == 1:
-            ok = fl(Kind.K3, x) == fl(Kind.K1, x).union(fl(Kind.K2, x))
-        elif index == 2:
-            ok = fu(Kind.K3, x) == fu(Kind.K1, x).intersect(fu(Kind.K2, x))
-        elif index == 3:
-            ok = fl(Kind.K4, x) == fl(Kind.K1, x).intersect(fl(Kind.K2, x))
-        elif index == 4:
-            ok = fu(Kind.K4, x) == fu(Kind.K1, x).union(fu(Kind.K2, x))
-        elif index == 5:
-            ok = fl(Kind.K4, x).is_subset(fl(Kind.K1, x)) and fl(Kind.K1, x).is_subset(
-                fl(Kind.K3, x)
-            )
-        elif index == 6:
-            ok = fl(Kind.K4, x).is_subset(fl(Kind.K2, x)) and fl(Kind.K2, x).is_subset(
-                fl(Kind.K3, x)
-            )
-        elif index == 7:
-            ok = fu(Kind.K3, x).is_subset(fu(Kind.K1, x)) and fu(Kind.K1, x).is_subset(
-                fu(Kind.K4, x)
-            )
-        else:
-            ok = fu(Kind.K3, x).is_subset(fu(Kind.K2, x)) and fu(Kind.K2, x).is_subset(
-                fu(Kind.K4, x)
-            )
-        return _verdict(ok, target=set_to_doc(x))
-
-    return checker
-
-
-def _check_rel_c(index: int):
-    def checker(ctx: TrialContext) -> CheckResult:
-        x = ctx.inputs.crisp_x
-        cl, cu = ctx.cl, ctx.cu
-        if index == 1:
-            ok = cl(Kind.K3, x) == cl(Kind.K1, x).union(cl(Kind.K2, x))
-        elif index == 2:
-            ok = cu(Kind.K3, x) == cu(Kind.K1, x).intersection(cu(Kind.K2, x))
-        elif index == 3:
-            ok = cl(Kind.K4, x) == cl(Kind.K1, x).intersection(cl(Kind.K2, x))
-        elif index == 4:
-            ok = cu(Kind.K4, x) == cu(Kind.K1, x).union(cu(Kind.K2, x))
-        elif index == 5:
-            ok = cl(Kind.K4, x).is_subset(cl(Kind.K1, x)) and cl(Kind.K1, x).is_subset(
-                cl(Kind.K3, x)
-            )
-        elif index == 6:
-            ok = cl(Kind.K4, x).is_subset(cl(Kind.K2, x)) and cl(Kind.K2, x).is_subset(
-                cl(Kind.K3, x)
-            )
-        elif index == 7:
-            ok = cu(Kind.K3, x).is_subset(cu(Kind.K1, x)) and cu(Kind.K1, x).is_subset(
-                cu(Kind.K4, x)
-            )
-        else:
-            ok = cu(Kind.K3, x).is_subset(cu(Kind.K2, x)) and cu(Kind.K2, x).is_subset(
-                cu(Kind.K4, x)
-            )
-        return _verdict(ok, target=sorted(x.members))
-
-    return checker
-
-
-_REL_F_STATEMENTS = {
-    1: "fuzzy lower3 equals lower1 union lower2",
-    2: "fuzzy upper3 equals upper1 intersect upper2",
-    3: "fuzzy lower4 equals lower1 intersect lower2",
-    4: "fuzzy upper4 equals upper1 union upper2",
-    5: "fuzzy lower4 in lower1 in lower3",
-    6: "fuzzy lower4 in lower2 in lower3",
-    7: "fuzzy upper3 in upper1 in upper4",
-    8: "fuzzy upper3 in upper2 in upper4",
+# Each row relates the operators of the four kinds on one target; ``lo(k)``
+# and ``up(k)`` are the kind-k lower and upper approximations of it.
+_REL_ROWS = {
+    1: ("lower3 equals lower1 union lower2", lambda lo, up: lo(3) == lo(1).union(lo(2))),
+    2: ("upper3 equals upper1 intersect upper2", lambda lo, up: up(3) == up(1).intersect(up(2))),
+    3: ("lower4 equals lower1 intersect lower2", lambda lo, up: lo(4) == lo(1).intersect(lo(2))),
+    4: ("upper4 equals upper1 union upper2", lambda lo, up: up(4) == up(1).union(up(2))),
+    5: ("lower4 in lower1 in lower3", lambda lo, up: _chain(lo(4), lo(1), lo(3))),
+    6: ("lower4 in lower2 in lower3", lambda lo, up: _chain(lo(4), lo(2), lo(3))),
+    7: ("upper3 in upper1 in upper4", lambda lo, up: _chain(up(3), up(1), up(4))),
+    8: ("upper3 in upper2 in upper4", lambda lo, up: _chain(up(3), up(2), up(4))),
 }
 
-for _i, _stmt in _REL_F_STATEMENTS.items():
-    _register(f"REL-F{_i}", "law", _stmt, _check_rel_f(_i))
 
-_REL_C_STATEMENTS = {k: v.replace("fuzzy", "crisp") for k, v in _REL_F_STATEMENTS.items()}
-for _i, _stmt in _REL_C_STATEMENTS.items():
-    _register(f"REL-C{_i}", "law", _stmt, _check_rel_c(_i))
+def _check_rel(mode: _Mode, relation: Callable, ctx: TrialContext) -> CheckResult:
+    lower, upper = getattr(ctx, mode.lower), getattr(ctx, mode.upper)
+    x = getattr(ctx.inputs, mode.x)
+    ok = relation(lambda k: lower(Kind(k), x), lambda k: upper(Kind(k), x))
+    return _verdict(ok, target=mode.doc(x))
 
 
+for _mode, _tag in ((_FUZZY, "F"), (_CRISP, "C")):
+    for _i, (_stmt, _relation) in _REL_ROWS.items():
+        _register(
+            f"REL-{_tag}{_i}",
+            "law",
+            f"{_mode.name} {_stmt}",
+            partial(_check_rel, _mode, _relation),
+        )
+
+
+@_law("SANDWICH", "bounded targets: lower4 in lower2 in lower3 in X in upper3 in upper1 in upper4")
 def _check_sandwich(ctx: TrialContext) -> CheckResult:
     target = _hypothesis_target(ctx)
     if target is None:
-        return _skip("boundedness hypothesis infeasible or unsatisfied")
-    chain = [
+        return _skip(_UNBOUNDED)
+    ok = _chain(
         ctx.fl(Kind.K4, target),
         ctx.fl(Kind.K2, target),
         ctx.fl(Kind.K3, target),
@@ -838,27 +682,17 @@ def _check_sandwich(ctx: TrialContext) -> CheckResult:
         ctx.fu(Kind.K3, target),
         ctx.fu(Kind.K1, target),
         ctx.fu(Kind.K4, target),
-    ]
-    for a, b in zip(chain, chain[1:]):
-        if not a.is_subset(b):
-            return _fail(target=set_to_doc(target))
-    return _pass()
+    )
+    return _verdict(ok, target=set_to_doc(target))
 
 
-_register(
-    "SANDWICH",
-    "law",
-    "bounded targets: lower4 in lower2 in lower3 in X in upper3 in upper1 in upper4",
-    _check_sandwich,
-)
-
-
+@_law("TWO-SPACE", "equal crisp neighborhoods give equal kind-1 crisp approximations across spaces")
 def _check_two_space(ctx: TrialContext) -> CheckResult:
     other = ctx.inputs.space2
     if other is None:
         return _skip("no valid companion space for this instance")
     ns2 = NeighborhoodSystem(other)
-    if ctx.ns._crisp != ns2._crisp:
+    if ctx.crisp != TrialContext(other, ctx.inputs, ns2).crisp:
         return _skip("companion space has different crisp neighborhoods")
     x = ctx.inputs.crisp_x
     x2 = CrispSubset(other.universe, x.members)
@@ -869,30 +703,29 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
     return _verdict(ok, target=sorted(x.members))
 
 
-_register(
-    "TWO-SPACE",
-    "law",
-    "equal crisp neighborhoods give equal kind-1 crisp approximations across spaces",
-    _check_two_space,
-)
-
-
 # -- strictness witnesses ------------------------------------------------------
 
 
+@_law(
+    "W-UNION-STRICT",
+    "exists x,y with crisp(x) union crisp(y) strictly inside the cut of the joined rows",
+    "witness",
+)
 def _check_w_union_strict(ctx: TrialContext) -> CheckResult:
-    ns = ctx.ns
     u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            lhs = ns._crisp[i] | ns._crisp[j]
-            rhs = _cut(ctx, _row_join(ns._n, (i, j)))
-            if lhs < rhs:
-                gained = sorted(u[k] for k in rhs - lhs)
-                return CheckResult(PASS, detail={"x": u[i], "y": u[j], "gained": str(gained)})
+    for i, j in _pairs(ctx):
+        lhs, rhs = _lattice_sides(ctx, (i, j), _UNION)
+        if lhs < rhs:
+            gained = sorted(u[k] for k in rhs - lhs)
+            return CheckResult(PASS, detail={"x": u[i], "y": u[j], "gained": str(gained)})
     return _skip("no strict instance in this space")
 
 
+@_law(
+    "W-LOWER-STRICT",
+    "exists X,Y with lower(X) union lower(Y) strictly inside lower(X union Y)",
+    "witness",
+)
 def _check_w_lower_strict(ctx: TrialContext) -> CheckResult:
     x, y = ctx.inputs.fuzzy_x, ctx.inputs.fuzzy_y
     lhs = ctx.fl(Kind.K1, x).union(ctx.fl(Kind.K1, y))
@@ -900,20 +733,6 @@ def _check_w_lower_strict(ctx: TrialContext) -> CheckResult:
     if lhs.is_subset(rhs) and lhs != rhs:
         return CheckResult(PASS, detail={"x": str(set_to_doc(x)), "y": str(set_to_doc(y))})
     return _skip("no strict instance for these inputs")
-
-
-_register(
-    "W-UNION-STRICT",
-    "witness",
-    "exists x,y with crisp(x) union crisp(y) strictly inside the cut of the joined rows",
-    _check_w_union_strict,
-)
-_register(
-    "W-LOWER-STRICT",
-    "witness",
-    "exists X,Y with lower(X) union lower(Y) strictly inside lower(X union Y)",
-    _check_w_lower_strict,
-)
 
 
 # -- driver --------------------------------------------------------------------
@@ -950,8 +769,6 @@ def inputs_to_doc(inputs: CheckInputs) -> dict:
 
 
 def inputs_from_doc(doc: dict, universe: Universe) -> CheckInputs:
-    from .serialize import parse_set_doc
-
     space2 = None
     if doc.get("space2") is not None:
         mapping, beta = parse_space_doc(doc["space2"])
@@ -1006,6 +823,33 @@ def _replace_fuzzy_grade(fs: IVFuzzySet, index: int, grade: IntervalValue) -> IV
     return IVFuzzySet(fs.universe, tuple(grades))
 
 
+def _shrink_candidates(
+    space: SoftSpace, inputs: CheckInputs
+) -> Iterator[Tuple[SoftSpace, CheckInputs]]:
+    """Smaller or simpler instances, in the order the shrinker tries them."""
+    for obj in space.universe.objects:
+        candidate = drop_object(space, obj)
+        if candidate is not None:
+            yield candidate, _project_inputs(inputs, candidate.universe)
+    for param in space.parameters:
+        candidate = drop_parameter(space, param)
+        if candidate is not None:
+            yield candidate, inputs
+    for param in space.parameters:
+        for obj in space.universe.objects:
+            for snapped in snap_candidates(space.mapping.set_for(param).grade(obj)):
+                candidate = snap_grade(space, param, obj, snapped)
+                if candidate is not None:
+                    yield candidate, inputs
+    for attr in ("fuzzy_x", "fuzzy_y", "hypothesis_x"):
+        fs = getattr(inputs, attr)
+        if fs is None:
+            continue
+        for i, grade in enumerate(fs.grades):
+            for snapped in snap_candidates(grade):
+                yield space, replace(inputs, **{attr: _replace_fuzzy_grade(fs, i, snapped)})
+
+
 def shrink_counterexample(
     theorem: str, space: SoftSpace, inputs: CheckInputs, max_evals: int = 300
 ) -> Tuple[SoftSpace, CheckInputs]:
@@ -1016,70 +860,15 @@ def shrink_counterexample(
     """
     if theorem == "TWO-SPACE":
         return space, inputs  # companion space makes projection ambiguous
-
-    def fails(sp: SoftSpace, inp: CheckInputs) -> bool:
-        return check(theorem, sp, inp).outcome == FAIL
-
     evals = 0
     improved = True
     while improved and evals < max_evals:
         improved = False
-        for obj in space.universe.objects:
-            candidate = drop_object(space, obj)
-            if candidate is None:
-                continue
-            cand_inputs = _project_inputs(inputs, candidate.universe)
+        for candidate, cand_inputs in _shrink_candidates(space, inputs):
             evals += 1
-            if fails(candidate, cand_inputs):
+            if check(theorem, candidate, cand_inputs).outcome == FAIL:
                 space, inputs = candidate, cand_inputs
                 improved = True
-                break
-        if improved:
-            continue
-        for param in space.parameters:
-            candidate = drop_parameter(space, param)
-            if candidate is None:
-                continue
-            evals += 1
-            if fails(candidate, inputs):
-                space = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for param in space.parameters:
-            for obj in space.universe.objects:
-                current = space.mapping.set_for(param).grade(obj)
-                for snapped in snap_candidates(current):
-                    candidate = snap_grade(space, param, obj, snapped)
-                    if candidate is None:
-                        continue
-                    evals += 1
-                    if fails(candidate, inputs):
-                        space = candidate
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        for attr in ("fuzzy_x", "fuzzy_y", "hypothesis_x"):
-            fs = getattr(inputs, attr)
-            if fs is None:
-                continue
-            for i, grade in enumerate(fs.grades):
-                for snapped in snap_candidates(grade):
-                    candidate = replace(inputs, **{attr: _replace_fuzzy_grade(fs, i, snapped)})
-                    evals += 1
-                    if fails(space, candidate):
-                        inputs = candidate
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
                 break
     return space, inputs
 
@@ -1097,17 +886,7 @@ class TheoremStats:
     first_counterexample: Optional[dict] = None
 
     def to_doc(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "statement": self.statement,
-            "status": self.status,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "skips": self.skips,
-            "skip_reasons": dict(sorted(self.skip_reasons.items())),
-            "first_counterexample": self.first_counterexample,
-        }
+        return {**asdict(self), "skip_reasons": dict(sorted(self.skip_reasons.items()))}
 
 
 @dataclass
@@ -1180,9 +959,10 @@ def run_audit(
     for trial in range(trials):
         trial_config = replace(config, seed=_trial_seed(config.seed, trial))
         space = gen_space(trial_config)
+        ns = NeighborhoodSystem(space)
         rng = random.Random(f"betacover-inputs:{config.seed}:{trial}")
-        inputs = sample_inputs(space, rng, config.grid_denominator)
-        ctx = TrialContext(space, inputs)
+        inputs = sample_inputs(space, rng, config.grid_denominator, ns)
+        ctx = TrialContext(space, inputs, ns)
         for theorem in ids:
             result = REGISTRY[theorem].checker(ctx)
             entry = stats[theorem]

@@ -137,23 +137,6 @@ class IVFuzzySet:
         return cls(universe, tuple(IntervalValue.parse(grades[o]) for o in universe))
 
 
-def pointwise(op: str, f: IVFuzzySet, g: IVFuzzySet) -> IVFuzzySet:
-    """Named dispatch for the two pointwise binary operations."""
-    if op == "intersect":
-        return f.intersect(g)
-    if op == "union":
-        return f.union(g)
-    raise ValueError(f"unknown pointwise op {op!r}")
-
-
-def complement_set(f: IVFuzzySet) -> IVFuzzySet:
-    return f.complement()
-
-
-def is_subset(f: IVFuzzySet, g: IVFuzzySet) -> bool:
-    return f.is_subset(g)
-
-
 @dataclass(frozen=True)
 class CrispSubset:
     """A plain subset of the universe."""
@@ -190,7 +173,7 @@ class CrispSubset:
         _require_same_universe(self, other)
         return CrispSubset(self.universe, self.members | other.members)
 
-    def intersection(self, other: "CrispSubset") -> "CrispSubset":
+    def intersect(self, other: "CrispSubset") -> "CrispSubset":
         _require_same_universe(self, other)
         return CrispSubset(self.universe, self.members & other.members)
 

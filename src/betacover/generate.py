@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import NotACoveringError, RejectionBudgetExceededError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
@@ -24,6 +24,7 @@ from .space import SoftMapping, SoftSpace, build_space, validate_beta_covering
 _REJECT_BUDGET = 1000
 
 BetaPolicy = Union[str, IntervalValue]
+GradeTable = Dict[str, Dict[str, IntervalValue]]
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def sample_hypothesis_set(
     universe = ns.space.universe
     grades = []
     for i in range(len(universe)):
-        diag = ns._n[i][i]
+        diag = ns.fuzzy_row(i)[i]
         if diag.lo + diag.hi < 1:
             return None
         lo_first = _ceil_to_grid(1 - diag.hi, d)
@@ -193,46 +194,45 @@ def exhaustive_spaces(
 # -- shrinking helpers -------------------------------------------------------
 
 
-def drop_object(space: SoftSpace, obj: str) -> Optional[SoftSpace]:
-    """Space restricted to U minus {obj}, or None if that is not a covering."""
-    remaining = tuple(o for o in space.universe.objects if o != obj)
-    if not remaining:
-        return None
-    universe = Universe(remaining)
-    table = {
-        p: {o: space.mapping.set_for(p).grade(o) for o in remaining}
-        for p in space.parameters
-    }
+def grade_table(space: SoftSpace) -> GradeTable:
+    """Editable copy of the grades as {parameter: {object: grade}}."""
+    return {p: fs.to_dict() for p, fs in zip(space.parameters, space.mapping.assignment)}
+
+
+def rebuild_space(space: SoftSpace, table: GradeTable) -> Optional[SoftSpace]:
+    """Space with the same beta over an edited grade table, or None if not a covering.
+
+    The universe is the table's objects, in the order of its first row.
+    """
+    universe = Universe(tuple(next(iter(table.values()))))
     try:
         return SoftSpace(SoftMapping.from_dict(universe, table), space.beta)
     except NotACoveringError:
         return None
 
 
+def drop_object(space: SoftSpace, obj: str) -> Optional[SoftSpace]:
+    """Space restricted to U minus {obj}, or None if that is not a covering."""
+    if len(space.universe) == 1:
+        return None
+    table = grade_table(space)
+    for row in table.values():
+        del row[obj]
+    return rebuild_space(space, table)
+
+
 def drop_parameter(space: SoftSpace, param: str) -> Optional[SoftSpace]:
-    remaining = tuple(p for p in space.parameters if p != param)
-    if not remaining:
+    if len(space.parameters) == 1:
         return None
-    table = {
-        p: {o: space.mapping.set_for(p).grade(o) for o in space.universe.objects}
-        for p in remaining
-    }
-    try:
-        return SoftSpace(SoftMapping.from_dict(space.universe, table), space.beta)
-    except NotACoveringError:
-        return None
+    table = grade_table(space)
+    del table[param]
+    return rebuild_space(space, table)
 
 
 def snap_grade(space: SoftSpace, param: str, obj: str, grade: IntervalValue) -> Optional[SoftSpace]:
-    table = {
-        p: {o: space.mapping.set_for(p).grade(o) for o in space.universe.objects}
-        for p in space.parameters
-    }
+    table = grade_table(space)
     table[param][obj] = grade
-    try:
-        return SoftSpace(SoftMapping.from_dict(space.universe, table), space.beta)
-    except NotACoveringError:
-        return None
+    return rebuild_space(space, table)
 
 
 def snap_candidates(value: IntervalValue) -> List[IntervalValue]:

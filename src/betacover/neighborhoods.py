@@ -10,7 +10,10 @@ objects are surfaced as metadata.
 The complementary neighborhood is the transpose of the fuzzy
 neighborhood matrix.  Crisp neighborhoods threshold the fuzzy grades at
 beta; the crisp complementary neighborhood is defined by the same
-thresholding applied to the transpose.
+thresholding applied to the transpose.  Every neighborhood is read
+from a ``NeighborhoodSystem``, built once per space.  No complemented
+grades are stored: the lower operators are derived from the upper ones
+by duality.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ def _fuzzy_row(space: SoftSpace, i: int) -> Tuple[Tuple[IntervalValue, ...], boo
 class NeighborhoodSystem:
     """Eagerly computed neighborhood matrices for one space.
 
-    Immutable after construction; approximation operators consume the
-    whole grade matrix, so rows, transposes, complements and crisp index
-    sets are all precomputed once.
+    Rows, their transposes and both crisp index sets are computed once at
+    construction; the per-kind kernels of the upper operators are built
+    on first use and kept.
     """
 
     def __init__(self, space: SoftSpace):
@@ -72,8 +75,6 @@ class NeighborhoodSystem:
         self._m = tuple(
             tuple(rows[j][i] for j in range(n)) for i in range(n)
         )
-        self._nc = tuple(tuple(v.complement() for v in row) for row in self._n)
-        self._mc = tuple(tuple(v.complement() for v in row) for row in self._m)
         beta = space.beta
         self._crisp = tuple(
             frozenset(j for j in range(n) if leq_bool(beta, row[j])) for row in self._n
@@ -82,11 +83,21 @@ class NeighborhoodSystem:
             frozenset(j for j in range(n) if leq_bool(beta, row[j])) for row in self._m
         )
         self.empty_index_objects = frozenset(empty)
+        self._kernels = {1: self._n, 2: self._m}
 
     # -- fuzzy accessors -------------------------------------------------
 
     def fuzzy_row(self, i: int) -> Tuple[IntervalValue, ...]:
         return self._n[i]
+
+    def kernel(self, kind: int) -> Tuple[Tuple[IntervalValue, ...], ...]:
+        """Upper-operator kernel matrix of a kind: N, its transpose M, N meet M, N join M."""
+        if kind not in self._kernels:
+            combine = IntervalValue.meet if kind == 3 else IntervalValue.join
+            self._kernels[kind] = tuple(
+                tuple(map(combine, r1, r2)) for r1, r2 in zip(self._n, self._m)
+            )
+        return self._kernels[kind]
 
     def fuzzy_neighborhood(self, obj: str) -> IVFuzzySet:
         return IVFuzzySet(self.space.universe, self._n[self.space.universe.index(obj)])
@@ -98,6 +109,9 @@ class NeighborhoodSystem:
 
     def crisp_indices(self, i: int) -> frozenset:
         return self._crisp[i]
+
+    def complementary_crisp_indices(self, i: int) -> frozenset:
+        return self._crisp_co[i]
 
     def crisp_neighborhood(self, obj: str) -> CrispSubset:
         u = self.space.universe
@@ -115,27 +129,3 @@ class NeighborhoodSystem:
             for i, x in enumerate(u)
         }
 
-
-# Lazy per-object entry points (no full-matrix precomputation); useful for
-# large spaces where only a few neighborhoods are needed.
-
-
-def fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    row, _ = _fuzzy_row(space, space.universe.index(obj))
-    return IVFuzzySet(space.universe, row)
-
-
-def crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return crisp_of(fuzzy_neighborhood(space, obj), space.beta)
-
-
-def complementary_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    i = space.universe.index(obj)
-    grades = tuple(
-        _fuzzy_row(space, j)[0][i] for j in range(len(space.universe))
-    )
-    return IVFuzzySet(space.universe, grades)
-
-
-def complementary_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return crisp_of(complementary_fuzzy_neighborhood(space, obj), space.beta)

@@ -90,19 +90,6 @@ def is_full_covering(mapping: SoftMapping) -> bool:
     return validate_beta_covering(mapping, TOP).ok
 
 
-def soft_subset(f: SoftMapping, g: SoftMapping) -> bool:
-    """(F,A) is a soft subset of (G,B): A within B and F(e) <= G(e) on A.
-
-    Helper predicate only; nothing downstream depends on it.
-    """
-    if f.universe != g.universe:
-        return False
-    g_params = set(g.parameters)
-    return all(
-        p in g_params and f.set_for(p).is_subset(g.set_for(p)) for p in f.parameters
-    )
-
-
 @dataclass(frozen=True)
 class SoftSpace:
     """A validated beta-covering approximation space."""

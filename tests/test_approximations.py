@@ -162,7 +162,7 @@ class TestKind3Composition:
             l1, l2, l3 = (crisp_lower(kind3_gap_space, k, x) for k in (1, 2, 3))
             assert l3 == l1.union(l2)
             u1, u2, u3 = (crisp_upper(kind3_gap_space, k, x) for k in (1, 2, 3))
-            assert u3 == u1.intersection(u2)
+            assert u3 == u1.intersect(u2)
 
 
 class TestAgainstOracle:

@@ -6,11 +6,7 @@ from betacover import (
     SoftSpace,
     Universe,
     UnknownObjectError,
-    complementary_crisp_neighborhood,
-    complementary_fuzzy_neighborhood,
-    crisp_neighborhood,
     crisp_of,
-    fuzzy_neighborhood,
 )
 from betacover.intervals import leq_bool
 from betacover.oracle import (
@@ -79,18 +75,6 @@ class TestDerivedSpace:
                 o
             ) == oracle_complementary_crisp_neighborhood(derived_space, o)
 
-    def test_lazy_functions_match_eager_system(self, derived_space, xyz):
-        ns = NeighborhoodSystem(derived_space)
-        for o in xyz:
-            assert fuzzy_neighborhood(derived_space, o) == ns.fuzzy_neighborhood(o)
-            assert crisp_neighborhood(derived_space, o) == ns.crisp_neighborhood(o)
-            assert complementary_fuzzy_neighborhood(
-                derived_space, o
-            ) == ns.complementary_fuzzy_neighborhood(o)
-            assert complementary_crisp_neighborhood(
-                derived_space, o
-            ) == ns.complementary_crisp_neighborhood(o)
-
     def test_reflexivity_and_diagonal(self, derived_space, xyz):
         ns = NeighborhoodSystem(derived_space)
         for o in xyz:
@@ -152,7 +136,7 @@ class TestIntersectionLattice:
         beta = derived_space.beta
         for a in xyz:
             for b in xyz:
-                lhs = ns.crisp_neighborhood(a).intersection(ns.crisp_neighborhood(b))
+                lhs = ns.crisp_neighborhood(a).intersect(ns.crisp_neighborhood(b))
                 rhs = crisp_of(
                     ns.fuzzy_neighborhood(a).intersect(ns.fuzzy_neighborhood(b)), beta
                 )

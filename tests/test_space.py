@@ -9,13 +9,12 @@ from betacover import (
     UnknownParameterError,
     build_space,
     is_full_covering,
-    soft_subset,
     validate_beta_covering,
 )
 from betacover.intervals import leq_bool
 from betacover.space import parse_policy
 
-from conftest import iv, make_space
+from conftest import iv
 
 
 U = Universe(("x", "y", "z"))
@@ -138,15 +137,3 @@ class TestPolicies:
         m = mapping(GOOD)
         space = build_space(m, iv("[0.5,0.6]"), "repair:e1")
         assert space.mapping is m
-
-
-class TestSoftSubset:
-    def test_subset_requires_parameter_and_pointwise_containment(self):
-        small = mapping({"e1": GOOD["e1"]})
-        big = mapping(GOOD)
-        assert soft_subset(small, big)
-        assert not soft_subset(big, small)
-
-    def test_different_universes_never_subset(self):
-        other = make_space(("a",), {"e1": {"a": "[1,1]"}}, "[0,0]")
-        assert not soft_subset(other.mapping, mapping(GOOD))
