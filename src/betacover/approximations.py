@@ -8,7 +8,8 @@ objects whose crisp neighborhood (kind 1), complementary neighborhood
 (kind 2), both (kind 3) or either (kind 4) meets the target.
 
 Each lower operator is the dual of its upper operator,
-lower(X) = upper(X^c)^c, for both modes and all four kinds.  In the
+lower(X) = upper(X^c)^c, for both modes and all four kinds, with the
+complements taken on raw endpoints or index sets.  In the
 kind-4 fuzzy case this reads ``((N or M) and X)`` for the upper kernel,
 so the lower kernel is ``((N^c and M^c) or X)``: the reading under
 which lower4 = lower1 meet lower2 and upper4 = upper1 join upper2 hold,
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from fractions import Fraction
+from typing import List, Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
 from .fuzzysets import CrispSubset, IVFuzzySet
@@ -69,48 +71,44 @@ def _check_universe(space: SoftSpace, target: Target) -> None:
         raise UniverseMismatchError("target set is over a different universe")
 
 
-def _upper_grades(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-    """Per-object join over y of (kernel(y) and target(y)), on raw endpoints."""
+def _upper_bounds(
+    ns: NeighborhoodSystem, kind: Kind, los: List[Fraction], his: List[Fraction]
+) -> List[Tuple[Fraction, Fraction]]:
+    """Per-object join over y of (kernel(y) and X(y)), X given by its endpoint lists."""
     base = ns.kernel(kind.value)
-    glo = [g.lo for g in target.grades]
-    ghi = [g.hi for g in target.grades]
-    n = len(glo)
+    n = len(los)
     out = []
     for i in range(n):
         row = base[i]
         acc_lo = acc_hi = None
         for j in range(n):
             b = row[j]
-            vlo = b.lo if b.lo < glo[j] else glo[j]
-            vhi = b.hi if b.hi < ghi[j] else ghi[j]
+            vlo = b.lo if b.lo < los[j] else los[j]
+            vhi = b.hi if b.hi < his[j] else his[j]
             if acc_lo is None or vlo > acc_lo:
                 acc_lo = vlo
             if acc_hi is None or vhi > acc_hi:
                 acc_hi = vhi
-        out.append(IntervalValue(acc_lo, acc_hi))
-    return IVFuzzySet(target.universe, tuple(out))
+        out.append((acc_lo, acc_hi))
+    return out
 
 
-def _upper_members(ns: NeighborhoodSystem, kind: Kind, target: CrispSubset) -> CrispSubset:
-    """Objects whose crisp neighborhoods of the kind meet the target."""
-    u = target.universe
-    x_idx = frozenset(u.index(o) for o in target.members)
-    members = []
-    for i, obj in enumerate(u.objects):
-        n_hits = bool(ns.crisp_indices(i) & x_idx)
+def _meets(ns: NeighborhoodSystem, kind: Kind, idx: frozenset) -> List[bool]:
+    """Per object: whether its crisp neighborhoods of the kind meet the index set."""
+    out = []
+    for i in range(len(ns.space.universe)):
+        n_hits = bool(ns.crisp_indices(i) & idx)
         if kind is Kind.K1:
-            keep = n_hits
+            out.append(n_hits)
+            continue
+        m_hits = bool(ns.complementary_crisp_indices(i) & idx)
+        if kind is Kind.K2:
+            out.append(m_hits)
+        elif kind is Kind.K3:
+            out.append(n_hits and m_hits)
         else:
-            m_hits = bool(ns.complementary_crisp_indices(i) & x_idx)
-            if kind is Kind.K2:
-                keep = m_hits
-            elif kind is Kind.K3:
-                keep = n_hits and m_hits
-            else:
-                keep = n_hits or m_hits
-        if keep:
-            members.append(obj)
-    return CrispSubset(u, frozenset(members))
+            out.append(n_hits or m_hits)
+    return out
 
 
 def fuzzy_lower(
@@ -119,11 +117,13 @@ def fuzzy_lower(
     target: IVFuzzySet,
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
-    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
+    """Dual of the upper operator, lower(X) = upper(X^c)^c, on raw endpoints."""
     kind = Kind.of(kind)
     _check_universe(space, target)
     ns = _system(space, system)
-    return _upper_grades(ns, kind, target.complement()).complement()
+    grades = target.grades
+    bounds = _upper_bounds(ns, kind, [1 - g.hi for g in grades], [1 - g.lo for g in grades])
+    return IVFuzzySet(space.universe, tuple(IntervalValue(1 - hi, 1 - lo) for lo, hi in bounds))
 
 
 def fuzzy_upper(
@@ -135,7 +135,10 @@ def fuzzy_upper(
     """Per-object join over y of (kernel(y) and target(y))."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    return _upper_grades(_system(space, system), kind, target)
+    ns = _system(space, system)
+    grades = target.grades
+    bounds = _upper_bounds(ns, kind, [g.lo for g in grades], [g.hi for g in grades])
+    return IVFuzzySet(space.universe, tuple(IntervalValue(lo, hi) for lo, hi in bounds))
 
 
 def crisp_lower(
@@ -144,11 +147,14 @@ def crisp_lower(
     target: CrispSubset,
     system: Optional[NeighborhoodSystem] = None,
 ) -> CrispSubset:
-    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
+    """Dual of the upper operator: objects whose neighborhoods miss X^c."""
     kind = Kind.of(kind)
     _check_universe(space, target)
     ns = _system(space, system)
-    return _upper_members(ns, kind, target.complement()).complement()
+    u = space.universe
+    outside = frozenset(i for i, o in enumerate(u.objects) if o not in target.members)
+    hits = _meets(ns, kind, outside)
+    return CrispSubset(u, frozenset(o for o, hit in zip(u.objects, hits) if not hit))
 
 
 def crisp_upper(
@@ -160,7 +166,11 @@ def crisp_upper(
     """Objects whose crisp neighborhoods of the kind meet the target."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    return _upper_members(_system(space, system), kind, target)
+    ns = _system(space, system)
+    u = space.universe
+    inside = frozenset(u.index(o) for o in target.members)
+    hits = _meets(ns, kind, inside)
+    return CrispSubset(u, frozenset(o for o, hit in zip(u.objects, hits) if hit))
 
 
 def approximate(

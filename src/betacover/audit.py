@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .approximations import Target, Kind, crisp_lower, crisp_upper, fuzzy_lower, fuzzy_upper
+from .approximations import Kind, Target, crisp_lower, crisp_upper, fuzzy_lower, fuzzy_upper
 from .errors import UnknownTheoremError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .generate import (
@@ -481,7 +481,7 @@ class _Mode:
     y: str
     key: str  # detail key of the target in a one-target statement
     doc: Callable[[Target], object]  # detail form of a target
-    bounded: Callable[[TrialContext], Optional[Target]]  # a target with L(X) in X in U(X)
+    bounded: Callable[[TrialContext], Optional[Target]]  # target of L(X) in X in U(X), or None
 
 
 def _members(target: CrispSubset) -> List[str]:
