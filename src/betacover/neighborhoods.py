@@ -128,4 +128,3 @@ class NeighborhoodSystem:
             x: {y: self._n[i][j].text() for j, y in enumerate(u)}
             for i, x in enumerate(u)
         }
-
