@@ -75,7 +75,7 @@ def _upper_bounds(
     ns: NeighborhoodSystem, kind: Kind, los: List[Fraction], his: List[Fraction]
 ) -> List[Tuple[Fraction, Fraction]]:
     """Per-object join over y of (kernel(y) and X(y)), X given by its endpoint lists."""
-    base = ns.kernel(kind.value)
+    base = ns.kernel(kind)
     n = len(los)
     out = []
     for i in range(n):
@@ -96,12 +96,12 @@ def _upper_bounds(
 def _meets(ns: NeighborhoodSystem, kind: Kind, idx: frozenset) -> List[bool]:
     """Per object: whether its crisp neighborhoods of the kind meet the index set."""
     out = []
-    for i in range(len(ns.space.universe)):
-        n_hits = bool(ns.crisp_indices(i) & idx)
+    for i, crisp in enumerate(ns.crisp_sets):
+        n_hits = bool(crisp & idx)
         if kind is Kind.K1:
             out.append(n_hits)
             continue
-        m_hits = bool(ns.complementary_crisp_indices(i) & idx)
+        m_hits = bool(ns.complementary_crisp_sets[i] & idx)
         if kind is Kind.K2:
             out.append(m_hits)
         elif kind is Kind.K3:

@@ -98,19 +98,14 @@ class CheckInputs:
     space2: Optional[SoftSpace]
 
 
-def sample_inputs(
-    space: SoftSpace,
-    rng: random.Random,
-    grid_denominator: int,
-    system: Optional[NeighborhoodSystem] = None,
-) -> CheckInputs:
+def sample_inputs(ns: NeighborhoodSystem, rng: random.Random, grid_denominator: int) -> CheckInputs:
+    space = ns.space
     u = space.universe
     d = grid_denominator
     fuzzy_x = sample_fuzzy_set(u, rng, d)
     fuzzy_y = sample_fuzzy_set(u, rng, d)
     crisp_x = sample_crisp_subset(u, rng)
     crisp_y = sample_crisp_subset(u, rng)
-    ns = NeighborhoodSystem(space) if system is None else system
     hypothesis_x = sample_hypothesis_set(ns, rng, d)
     beta_low = sample_beta_below(space.beta, rng, d)
     k = rng.randrange(1, len(u) + 1)
@@ -203,20 +198,6 @@ class TrialContext:
     def bottom(self) -> IVFuzzySet:
         return self.cached("bottom", lambda: IVFuzzySet.bottom(self.space.universe))
 
-    @property
-    def rows(self) -> List[Tuple[IntervalValue, ...]]:
-        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
-        return self.cached("rows", lambda: list(map(self.ns.fuzzy_row, self._indices)))
-
-    @property
-    def crisp(self) -> List[frozenset]:
-        """Index set of each object's crisp neighborhood."""
-        return self.cached("crisp", lambda: list(map(self.ns.crisp_indices, self._indices)))
-
-    @property
-    def _indices(self) -> range:
-        return range(len(self.space.universe))
-
 
 Checker = Callable[[TrialContext], CheckResult]
 
@@ -230,9 +211,12 @@ class TheoremSpec:
 
 
 REGISTRY: Dict[str, TheoremSpec] = {}
+_STATUSES = ("law", "conjecture", "witness")
 
 
-def _register(theorem_id: str, status: str, statement: str, checker: Checker) -> None:
+def _register(theorem_id: str, statement: str, checker: Checker, status: str = "law") -> None:
+    if status not in _STATUSES:
+        raise ValueError(f"{theorem_id}: unknown status {status!r}")
     REGISTRY[theorem_id] = TheoremSpec(theorem_id, statement, status, checker)
 
 
@@ -240,7 +224,7 @@ def _law(theorem_id: str, statement: str, status: str = "law") -> Callable[[Chec
     """Register the decorated checker; the registry keeps definition order."""
 
     def register(checker: Checker) -> Checker:
-        _register(theorem_id, status, statement, checker)
+        _register(theorem_id, statement, checker, status)
         return checker
 
     return register
@@ -283,7 +267,7 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
 
 @_law("N-REFL", "beta <= N_x(x) for every x")
 def _check_nrefl(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.rows, ctx.space.beta
+    n, beta = ctx.ns.matrix, ctx.space.beta
     for i, obj in enumerate(ctx.space.universe.objects):
         if not leq_bool(beta, n[i][i]):
             return _fail(object=obj, grade=n[i][i])
@@ -292,7 +276,7 @@ def _check_nrefl(ctx: TrialContext) -> CheckResult:
 
 @_law("N-TRANS", "beta <= N_x(y) and beta <= N_y(z) imply beta <= N_x(z)")
 def _check_ntrans(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.rows, ctx.space.beta
+    n, beta = ctx.ns.matrix, ctx.space.beta
     u = ctx.space.universe.objects
     size = len(u)
     for i in range(size):
@@ -309,7 +293,7 @@ def _check_ntrans(ctx: TrialContext) -> CheckResult:
 def _check_nmono(ctx: TrialContext) -> CheckResult:
     low = ctx.inputs.beta_low
     space_low = SoftSpace(ctx.space.mapping, low)  # valid: low <= beta
-    n_hi, n_lo = ctx.rows, TrialContext(space_low, ctx.inputs).rows
+    n_hi, n_lo = ctx.ns.matrix, NeighborhoodSystem(space_low).matrix
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -320,7 +304,7 @@ def _check_nmono(ctx: TrialContext) -> CheckResult:
 
 @_law("N-CONTAIN", "beta <= N_x(y) iff N_y is a fuzzy subset of N_x")
 def _check_ncontain(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.rows, ctx.space.beta
+    n, beta = ctx.ns.matrix, ctx.space.beta
     u = ctx.space.universe.objects
     size = len(u)
     for i in range(size):
@@ -334,7 +318,7 @@ def _check_ncontain(ctx: TrialContext) -> CheckResult:
 
 @_law("N-EQ", "beta <= N_x(y) and beta <= N_y(x) iff N_x = N_y")
 def _check_neq(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.rows, ctx.space.beta
+    n, beta = ctx.ns.matrix, ctx.space.beta
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -349,7 +333,7 @@ def _check_neq(ctx: TrialContext) -> CheckResult:
 
 @_law("CN-REFL", "x belongs to its own crisp neighborhood")
 def _check_cnrefl(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.crisp
+    crisp = ctx.ns.crisp_sets
     for i, obj in enumerate(ctx.space.universe.objects):
         if i not in crisp[i]:
             return _fail(object=obj)
@@ -358,7 +342,7 @@ def _check_cnrefl(ctx: TrialContext) -> CheckResult:
 
 @_law("CN-MEMB", "y in crisp(x) iff crisp(y) is a subset of crisp(x)")
 def _check_cnmemb(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.crisp
+    crisp = ctx.ns.crisp_sets
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -369,7 +353,7 @@ def _check_cnmemb(ctx: TrialContext) -> CheckResult:
 
 @_law("CN-TRANS", "crisp neighborhood membership is transitive")
 def _check_cntrans(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.crisp
+    crisp = ctx.ns.crisp_sets
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in crisp[i]:
@@ -380,7 +364,7 @@ def _check_cntrans(ctx: TrialContext) -> CheckResult:
 
 @_law("CN-EQ", "crisp neighborhoods equal iff fuzzy neighborhoods equal")
 def _check_cneq(ctx: TrialContext) -> CheckResult:
-    crisp, n = ctx.crisp, ctx.rows
+    crisp, n = ctx.ns.crisp_sets, ctx.ns.matrix
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -398,8 +382,8 @@ _MEET = (frozenset.intersection, family_meet)
 def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[frozenset, frozenset]:
     """The combined crisp neighborhoods of a family, and the cut of its combined rows."""
     combine_sets, combine_grades = ops
-    rows, beta = ctx.rows, ctx.space.beta
-    lhs = combine_sets(*(ctx.crisp[i] for i in idx))
+    rows, beta = ctx.ns.matrix, ctx.space.beta
+    lhs = combine_sets(*(ctx.ns.crisp_sets[i] for i in idx))
     rhs = frozenset(
         k
         for k in range(len(rows))
@@ -431,25 +415,21 @@ def _check_cn_family(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
 
 _register(
     "CN-LATTICE-1",
-    "law",
     "crisp(x) union crisp(y) is contained in the cut of N_x join N_y",
     partial(_check_cn_pairs, _UNION, operator.le),
 )
 _register(
     "CN-LATTICE-2",
-    "law",
     "crisp(x) intersect crisp(y) equals the cut of N_x meet N_y",
     partial(_check_cn_pairs, _MEET, operator.eq),
 )
 _register(
     "CN-LATTICE-3",
-    "law",
     "indexed union of crisp neighborhoods is contained in the cut of the joined rows",
     partial(_check_cn_family, _UNION, operator.le),
 )
 _register(
     "CN-LATTICE-4",
-    "law",
     "indexed intersection of crisp neighborhoods equals the cut of the met rows",
     partial(_check_cn_family, _MEET, operator.eq),
 )
@@ -464,7 +444,7 @@ def _hypothesis_target(ctx: TrialContext) -> Optional[IVFuzzySet]:
     if target is None:
         return None
     for i, g in enumerate(target.grades):
-        diag = ctx.rows[i][i]
+        diag = ctx.ns.matrix[i][i]
         if not (leq_bool(diag.complement(), g) and leq_bool(g, diag)):
             return None
     return target
@@ -598,7 +578,6 @@ for _kind in Kind:
     for _prop, (_stmt, _law_fn) in _A_PROPS.items():
         _register(
             f"A{_kind.value}-P{_prop}",
-            "law",
             f"kind {_kind.value} fuzzy operators: {_stmt}",
             partial(_law_fn, _FUZZY, _kind),
         )
@@ -626,13 +605,13 @@ _CA_PROPS = {
 }
 
 for _kind in Kind:
-    status = "law" if _kind is Kind.K1 else "conjecture"
+    _status = "law" if _kind is Kind.K1 else "conjecture"
     for _prop, (_stmt, _law_fn) in _CA_PROPS.items():
         _register(
             f"CA{_kind.value}-P{_prop}",
-            status,
             f"kind {_kind.value} crisp operators: {_stmt}",
             partial(_law_fn, _CRISP, _kind),
+            _status,
         )
 
 
@@ -663,7 +642,6 @@ for _mode, _tag in ((_FUZZY, "F"), (_CRISP, "C")):
     for _i, (_stmt, _relation) in _REL_ROWS.items():
         _register(
             f"REL-{_tag}{_i}",
-            "law",
             f"{_mode.name} {_stmt}",
             partial(_check_rel, _mode, _relation),
         )
@@ -692,7 +670,7 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
     if other is None:
         return _skip("no valid companion space for this instance")
     ns2 = NeighborhoodSystem(other)
-    if ctx.crisp != TrialContext(other, ctx.inputs, ns2).crisp:
+    if ctx.ns.crisp_sets != ns2.crisp_sets:
         return _skip("companion space has different crisp neighborhoods")
     x = ctx.inputs.crisp_x
     x2 = CrispSubset(other.universe, x.members)
@@ -961,7 +939,7 @@ def run_audit(
         space = gen_space(trial_config)
         ns = NeighborhoodSystem(space)
         rng = random.Random(f"betacover-inputs:{config.seed}:{trial}")
-        inputs = sample_inputs(space, rng, config.grid_denominator, ns)
+        inputs = sample_inputs(ns, rng, config.grid_denominator)
         ctx = TrialContext(space, inputs, ns)
         for theorem in ids:
             result = REGISTRY[theorem].checker(ctx)

@@ -106,8 +106,8 @@ def sample_hypothesis_set(
     """
     universe = ns.space.universe
     grades = []
-    for i in range(len(universe)):
-        diag = ns.fuzzy_row(i)[i]
+    for i, row in enumerate(ns.matrix):
+        diag = row[i]
         if diag.lo + diag.hi < 1:
             return None
         lo_first = _ceil_to_grid(1 - diag.hi, d)

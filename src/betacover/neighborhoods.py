@@ -52,6 +52,10 @@ def _fuzzy_row(space: SoftSpace, i: int) -> Tuple[Tuple[IntervalValue, ...], boo
     return row, False
 
 
+# Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
+_COMBINE = {3: IntervalValue.meet, 4: IntervalValue.join}
+
+
 class NeighborhoodSystem:
     """Eagerly computed neighborhood matrices for one space.
 
@@ -87,15 +91,22 @@ class NeighborhoodSystem:
 
     # -- fuzzy accessors -------------------------------------------------
 
-    def fuzzy_row(self, i: int) -> Tuple[IntervalValue, ...]:
-        return self._n[i]
+    @property
+    def matrix(self) -> Tuple[Tuple[IntervalValue, ...], ...]:
+        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
+        return self._n
 
-    def kernel(self, kind: int) -> Tuple[Tuple[IntervalValue, ...], ...]:
-        """Upper-operator kernel matrix of a kind: N, its transpose M, N meet M, N join M."""
+    def kernel(self, kind) -> Tuple[Tuple[IntervalValue, ...], ...]:
+        """Upper-operator kernel matrix of a kind: N, its transpose M, N meet M, N join M.
+
+        ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.
+        """
+        kind = getattr(kind, "value", kind)
         if kind not in self._kernels:
-            combine = IntervalValue.meet if kind == 3 else IntervalValue.join
+            if kind not in _COMBINE:
+                raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind!r}")
             self._kernels[kind] = tuple(
-                tuple(map(combine, r1, r2)) for r1, r2 in zip(self._n, self._m)
+                tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(self._n, self._m)
             )
         return self._kernels[kind]
 
@@ -107,11 +118,15 @@ class NeighborhoodSystem:
 
     # -- crisp accessors -------------------------------------------------
 
-    def crisp_indices(self, i: int) -> frozenset:
-        return self._crisp[i]
+    @property
+    def crisp_sets(self) -> Tuple[frozenset, ...]:
+        """Index set of each object's crisp neighborhood."""
+        return self._crisp
 
-    def complementary_crisp_indices(self, i: int) -> frozenset:
-        return self._crisp_co[i]
+    @property
+    def complementary_crisp_sets(self) -> Tuple[frozenset, ...]:
+        """Index set of each object's crisp complementary neighborhood."""
+        return self._crisp_co
 
     def crisp_neighborhood(self, obj: str) -> CrispSubset:
         u = self.space.universe

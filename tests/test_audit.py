@@ -4,6 +4,7 @@ import pytest
 
 from betacover import (
     GenConfig,
+    NeighborhoodSystem,
     UnknownTheoremError,
     all_theorem_ids,
     check,
@@ -13,13 +14,22 @@ from betacover import (
     sample_inputs,
     shrink_counterexample,
 )
-from betacover.audit import FAIL, PASS, REGISTRY, SKIP, inputs_from_doc, inputs_to_doc
+from betacover.audit import (
+    FAIL,
+    PASS,
+    REGISTRY,
+    SKIP,
+    _pass,
+    _register,
+    inputs_from_doc,
+    inputs_to_doc,
+)
 from betacover.serialize import parse_space_doc, space_to_doc
 from betacover.space import SoftSpace
 
 
 def make_inputs(space, seed="t", grid=10):
-    return sample_inputs(space, random.Random(seed), grid)
+    return sample_inputs(NeighborhoodSystem(space), random.Random(seed), grid)
 
 
 class TestRegistry:
@@ -47,6 +57,12 @@ class TestRegistry:
         assert REGISTRY["CA1-P5"].status == "law"
         assert REGISTRY["CA3-P5"].status == "conjecture"
         assert REGISTRY["W-UNION-STRICT"].status == "witness"
+
+    def test_unknown_status_is_rejected(self):
+        # A statement passed where the status belongs fails loudly.
+        with pytest.raises(ValueError):
+            _register("NO-SUCH-LAW", "a statement", lambda ctx: _pass(), "x <= y")
+        assert "NO-SUCH-LAW" not in REGISTRY
 
 
 class TestCheck:

@@ -2,6 +2,7 @@ import pytest
 
 from betacover import (
     IVFuzzySet,
+    Kind,
     NeighborhoodSystem,
     SoftSpace,
     Universe,
@@ -81,6 +82,33 @@ class TestDerivedSpace:
             assert leq_bool(derived_space.beta, ns.fuzzy_neighborhood(o).grade(o))
             assert o in ns.crisp_neighborhood(o)
             assert o in ns.complementary_crisp_neighborhood(o)
+
+
+class TestMatrices:
+    def test_matrix_and_crisp_sets_match_the_named_forms(self, derived_space, xyz):
+        ns = NeighborhoodSystem(derived_space)
+        for i, o in enumerate(xyz.objects):
+            assert ns.matrix[i] == ns.fuzzy_neighborhood(o).grades
+            crisp = {xyz.objects[j] for j in ns.crisp_sets[i]}
+            assert crisp == ns.crisp_neighborhood(o).members
+            co = {xyz.objects[j] for j in ns.complementary_crisp_sets[i]}
+            assert co == ns.complementary_crisp_neighborhood(o).members
+
+    def test_kernels_by_kind_or_number(self, derived_space):
+        ns = NeighborhoodSystem(derived_space)
+        n, m = ns.kernel(1), ns.kernel(2)
+        assert n == ns.matrix
+        assert m == tuple(zip(*n))
+        meet = tuple(tuple(a.meet(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m))
+        join = tuple(tuple(a.join(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m))
+        assert ns.kernel(3) == meet and ns.kernel(4) == join
+        for kind in Kind:
+            assert ns.kernel(kind) is ns.kernel(kind.value)
+
+    @pytest.mark.parametrize("kind", [0, 5, "3", None])
+    def test_kernel_rejects_other_keys(self, derived_space, kind):
+        with pytest.raises(ValueError):
+            NeighborhoodSystem(derived_space).kernel(kind)
 
 
 class TestEmptyIndexConvention:
