@@ -38,7 +38,6 @@ from .errors import (
     EmptyFamilyError,
     IncompleteTableError,
     NotACoveringError,
-    RejectionBudgetExceededError,
     SpaceSyntaxError,
     UniverseMismatchError,
     UnknownObjectError,
@@ -97,7 +96,6 @@ __all__ = [
     "NeighborhoodSystem",
     "NotACoveringError",
     "REGISTRY",
-    "RejectionBudgetExceededError",
     "Relation",
     "SoftMapping",
     "SoftSpace",

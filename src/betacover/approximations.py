@@ -193,11 +193,6 @@ def approximate(
     return ApproximationPair(lower, upper, kind, mode, definable=lower == upper)
 
 
-def is_definable(
-    space: SoftSpace,
-    kind: Union[int, Kind],
-    target: Target,
-    system: Optional[NeighborhoodSystem] = None,
-) -> bool:
+def is_definable(space: SoftSpace, kind: Union[int, Kind], target: Target) -> bool:
     """True iff the lower and upper approximations coincide exactly."""
-    return approximate(space, kind, target, system).definable
+    return approximate(space, kind, target).definable

@@ -47,11 +47,12 @@ from .generate import (
     snap_grade,
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
-from .neighborhoods import NeighborhoodSystem
+from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
 
 SCHEMA_VERSION = 1
+_SHRINK_BUDGET = 300  # checker evaluations per shrunk counterexample
 
 PASS = "pass"
 FAIL = "fail"
@@ -152,22 +153,11 @@ def _companion_space(space: SoftSpace, rng: random.Random) -> Optional[SoftSpace
 class TrialContext:
     """Per-trial caches: one neighborhood system, memoized approximations."""
 
-    def __init__(
-        self,
-        space: SoftSpace,
-        inputs: CheckInputs,
-        system: Optional[NeighborhoodSystem] = None,
-    ):
-        self.space = space
+    def __init__(self, ns: NeighborhoodSystem, inputs: CheckInputs):
+        self.ns = ns
+        self.space = ns.space
         self.inputs = inputs
-        self._ns = system
         self._memo: Dict[Hashable, object] = {}
-
-    @property
-    def ns(self) -> NeighborhoodSystem:
-        if self._ns is None:
-            self._ns = NeighborhoodSystem(self.space)
-        return self._ns
 
     def fl(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
         key = ("fl", kind, target.grades)
@@ -292,8 +282,9 @@ def _check_ntrans(ctx: TrialContext) -> CheckResult:
 @_law("N-MONO", "beta1 <= beta2 implies N^beta1_x is a fuzzy subset of N^beta2_x")
 def _check_nmono(ctx: TrialContext) -> CheckResult:
     low = ctx.inputs.beta_low
-    space_low = SoftSpace(ctx.space.mapping, low)  # valid: low <= beta
-    n_hi, n_lo = ctx.ns.matrix, NeighborhoodSystem(space_low).matrix
+    if not leq_bool(low, ctx.space.beta):
+        return _skip("beta_low is not below beta")
+    n_hi, n_lo = ctx.ns.matrix, fuzzy_matrix(ctx.space.mapping, low)
     u = ctx.space.universe.objects
     for i in range(len(u)):
         for j in range(len(u)):
@@ -392,14 +383,17 @@ def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[frozense
     return lhs, rhs
 
 
-def _pairs(ctx: TrialContext) -> Iterator[Tuple[int, int]]:
-    return itertools.product(range(len(ctx.space.universe)), repeat=2)
+def _pair_sides(ctx: TrialContext, ops) -> List[Tuple[int, int, frozenset, frozenset]]:
+    """``(i, j, lhs, rhs)`` for every object pair in order, once per trial and ops."""
+    pairs = itertools.product(range(len(ctx.space.universe)), repeat=2)
+    return ctx.cached(
+        ("pair-sides", ops), lambda: [(i, j, *_lattice_sides(ctx, (i, j), ops)) for i, j in pairs]
+    )
 
 
 def _check_cn_pairs(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe.objects
-    for i, j in _pairs(ctx):
-        lhs, rhs = _lattice_sides(ctx, (i, j), ops)
+    for i, j, lhs, rhs in _pair_sides(ctx, ops):
         if not holds(lhs, rhs):
             return _fail(x=u[i], y=u[j], lhs=sorted(lhs), rhs=sorted(rhs))
     return _pass()
@@ -497,8 +491,8 @@ def _check_a_p1(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
     ok = lower(ctx.top) == ctx.top and upper(ctx.bottom) == ctx.bottom
     return _verdict(
         ok,
-        lower_of_top=lower(ctx.top).to_json()["grades"],
-        upper_of_bottom=upper(ctx.bottom).to_json()["grades"],
+        lower_of_top=set_to_doc(lower(ctx.top))["grades"],
+        upper_of_bottom=set_to_doc(upper(ctx.bottom))["grades"],
     )
 
 
@@ -691,8 +685,7 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
 )
 def _check_w_union_strict(ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe.objects
-    for i, j in _pairs(ctx):
-        lhs, rhs = _lattice_sides(ctx, (i, j), _UNION)
+    for i, j, lhs, rhs in _pair_sides(ctx, _UNION):
         if lhs < rhs:
             gained = sorted(u[k] for k in rhs - lhs)
             return CheckResult(PASS, detail={"x": u[i], "y": u[j], "gained": str(gained)})
@@ -725,7 +718,7 @@ def check(theorem: str, space: SoftSpace, inputs: CheckInputs) -> CheckResult:
     spec = REGISTRY.get(theorem)
     if spec is None:
         raise UnknownTheoremError(f"unknown theorem id {theorem!r}")
-    return spec.checker(TrialContext(space, inputs))
+    return spec.checker(TrialContext(NeighborhoodSystem(space), inputs))
 
 
 def inputs_to_doc(inputs: CheckInputs) -> dict:
@@ -829,7 +822,7 @@ def _shrink_candidates(
 
 
 def shrink_counterexample(
-    theorem: str, space: SoftSpace, inputs: CheckInputs, max_evals: int = 300
+    theorem: str, space: SoftSpace, inputs: CheckInputs
 ) -> Tuple[SoftSpace, CheckInputs]:
     """Greedy minimization: drop objects/parameters, snap grades to {0,1/2,1}.
 
@@ -840,7 +833,7 @@ def shrink_counterexample(
         return space, inputs  # companion space makes projection ambiguous
     evals = 0
     improved = True
-    while improved and evals < max_evals:
+    while improved and evals < _SHRINK_BUDGET:
         improved = False
         for candidate, cand_inputs in _shrink_candidates(space, inputs):
             evals += 1
@@ -896,7 +889,8 @@ class AuditReport:
                 "parameter_count": self.config.parameter_count,
                 "grid_denominator": self.config.grid_denominator,
                 "beta_policy": str(self.config.beta_policy),
-                "covering_policy": self.config.covering_policy,
+                # gen_space always repairs; schema 1 keeps the field.
+                "covering_policy": "repair",
             },
             "ok": self.ok,
             "law_failures": self.law_failures,
@@ -913,7 +907,6 @@ def run_audit(
     config: GenConfig,
     theorems: Optional[Sequence[str]] = None,
     trials: int = 1000,
-    shrink: bool = True,
 ) -> AuditReport:
     """Check the requested statements over freshly generated instances.
 
@@ -940,7 +933,7 @@ def run_audit(
         ns = NeighborhoodSystem(space)
         rng = random.Random(f"betacover-inputs:{config.seed}:{trial}")
         inputs = sample_inputs(ns, rng, config.grid_denominator)
-        ctx = TrialContext(space, inputs, ns)
+        ctx = TrialContext(ns, inputs)
         for theorem in ids:
             result = REGISTRY[theorem].checker(ctx)
             entry = stats[theorem]
@@ -954,11 +947,7 @@ def run_audit(
             else:
                 entry.failures += 1
                 if entry.first_counterexample is None:
-                    ce_space, ce_inputs = (
-                        shrink_counterexample(theorem, space, inputs)
-                        if shrink
-                        else (space, inputs)
-                    )
+                    ce_space, ce_inputs = shrink_counterexample(theorem, space, inputs)
                     entry.first_counterexample = {
                         "theorem": theorem,
                         "trial": trial,

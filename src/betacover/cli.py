@@ -27,7 +27,7 @@ from .serialize import (
     set_to_doc,
     space_to_doc,
 )
-from .space import parse_policy, validate_beta_covering
+from .space import parse_policy
 
 
 def _envelope(payload: dict) -> dict:
@@ -58,6 +58,18 @@ def _load_space(args):
         fmt=args.format,
         policy=args.policy,
         beta=args.beta,
+    )
+
+
+def _gen_config(args) -> GenConfig:
+    """The generator settings of the audit and gen-random flags."""
+    u, a = args.size
+    return GenConfig(
+        universe_size=u,
+        parameter_count=a,
+        grid_denominator=args.grid,
+        beta_policy="random" if args.beta is None else IntervalValue.parse(args.beta),
+        seed=args.seed,
     )
 
 
@@ -143,23 +155,13 @@ def _cmd_validate(args) -> int:
     try:
         space = _load_space(args)
     except NotACoveringError as exc:
-        failures = [] if exc.report is None else [
+        failures = [
             {"object": obj, "attained": grade.text()} for obj, grade in exc.report.failures
         ]
         _emit(_envelope({"ok": False, "failures": failures}))
         return 2
-    report = validate_beta_covering(space.mapping, space.beta)
-    _emit(
-        _envelope(
-            {
-                "ok": report.ok,
-                "beta": space.beta.text(),
-                "failures": [
-                    {"object": obj, "attained": grade.text()} for obj, grade in report.failures
-                ],
-            }
-        )
-    )
+    # Loading built a SoftSpace, so the covering condition holds.
+    _emit(_envelope({"ok": True, "beta": space.beta.text(), "failures": []}))
     return 0
 
 
@@ -212,17 +214,8 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    u, a = args.size
-    beta_policy = "random" if args.beta is None else IntervalValue.parse(args.beta)
-    config = GenConfig(
-        universe_size=u,
-        parameter_count=a,
-        grid_denominator=args.grid,
-        beta_policy=beta_policy,
-        seed=args.seed,
-    )
     ids = None if args.theorems == "all" else [t for t in args.theorems.split(",") if t]
-    report = run_audit(config, theorems=ids, trials=args.trials)
+    report = run_audit(_gen_config(args), theorems=ids, trials=args.trials)
     _emit(report.to_doc(), out=args.out)
     if args.out:
         print(f"audit report written to {args.out}", file=sys.stderr)
@@ -236,17 +229,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
-    u, a = args.size
-    beta_policy = "random" if args.beta is None else IntervalValue.parse(args.beta)
-    config = GenConfig(
-        universe_size=u,
-        parameter_count=a,
-        grid_denominator=args.grid,
-        beta_policy=beta_policy,
-        seed=args.seed,
-    )
-    doc = space_to_doc(gen_space(config))
-    _emit({"version": __version__, **doc})
+    _emit(_envelope(space_to_doc(gen_space(_gen_config(args)))))
     return 0
 
 

@@ -22,9 +22,9 @@ class UnknownParameterError(BetacoverError):
 
 
 class NotACoveringError(BetacoverError):
-    """The mapping fails the beta-covering condition under strict policy."""
+    """The mapping fails the beta-covering condition; ``report`` lists where."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 
@@ -54,7 +54,3 @@ class IncompleteTableError(DocumentError):
 
 class UnknownTheoremError(BetacoverError):
     """A theorem id is not in the audit registry."""
-
-
-class RejectionBudgetExceededError(BetacoverError):
-    """Random generation under the reject policy ran out of attempts."""

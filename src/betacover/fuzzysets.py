@@ -119,23 +119,6 @@ class IVFuzzySet:
     def to_dict(self) -> Dict[str, IntervalValue]:
         return dict(zip(self.universe.objects, self.grades))
 
-    def to_json(self) -> dict:
-        """JSON object form with string interval literals."""
-        return {
-            "universe": list(self.universe.objects),
-            "grades": {o: g.text() for o, g in zip(self.universe.objects, self.grades)},
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IVFuzzySet":
-        if set(doc) != {"universe", "grades"}:
-            raise ValueError("fuzzy-set document must have exactly 'universe' and 'grades'")
-        universe = Universe(tuple(doc["universe"]))
-        grades = doc["grades"]
-        if set(grades) != set(universe.objects):
-            raise ValueError("grade keys must match the universe exactly")
-        return cls(universe, tuple(IntervalValue.parse(grades[o]) for o in universe))
-
 
 @dataclass(frozen=True)
 class CrispSubset:

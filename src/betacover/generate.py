@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Union
 
-from .errors import NotACoveringError, RejectionBudgetExceededError
+from .errors import NotACoveringError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .intervals import IntervalValue, leq_bool
 from .neighborhoods import NeighborhoodSystem
-from .space import SoftMapping, SoftSpace, build_space, validate_beta_covering
-
-_REJECT_BUDGET = 1000
+from .space import SoftMapping, SoftSpace, build_space
 
 BetaPolicy = Union[str, IntervalValue]
 GradeTable = Dict[str, Dict[str, IntervalValue]]
@@ -35,7 +33,6 @@ class GenConfig:
     parameter_count: int = 3
     grid_denominator: int = 10
     beta_policy: BetaPolicy = "random"
-    covering_policy: str = "repair"  # "repair" | "reject"
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +42,6 @@ class GenConfig:
             raise ValueError("grid_denominator must be positive")
         if isinstance(self.beta_policy, str) and self.beta_policy != "random":
             raise ValueError("beta_policy must be 'random' or a fixed IntervalValue")
-        if self.covering_policy not in ("repair", "reject"):
-            raise ValueError("covering_policy must be 'repair' or 'reject'")
 
 
 def object_names(n: int) -> List[str]:
@@ -130,32 +125,22 @@ def sample_hypothesis_set(
 def gen_space(config: GenConfig) -> SoftSpace:
     """Deterministic random space for the config's seed.
 
-    Under the reject policy, (grades, beta) pairs are resampled until the
-    covering condition holds or the attempt budget runs out; under the
-    repair policy the first parameter is joined with beta at failing
-    objects.
+    The grades and beta are drawn once; where they fail the covering
+    condition, the first parameter is joined with beta (the repair policy
+    of ``build_space``).
     """
     rng = random.Random(f"betacover-space:{config.seed}")
     universe = Universe(tuple(object_names(config.universe_size)))
     params = parameter_names(config.parameter_count)
     d = config.grid_denominator
 
-    for attempt in range(_REJECT_BUDGET):
-        table = {
-            p: {o: sample_interval(rng, d) for o in universe.objects} for p in params
-        }
-        mapping = SoftMapping.from_dict(universe, table)
-        if isinstance(config.beta_policy, IntervalValue):
-            beta = config.beta_policy
-        else:
-            beta = sample_interval(rng, d)
-        if config.covering_policy == "repair":
-            return build_space(mapping, beta, ("repair", params[0]))
-        if validate_beta_covering(mapping, beta).ok:
-            return SoftSpace(mapping, beta)
-    raise RejectionBudgetExceededError(
-        f"no valid covering found in {_REJECT_BUDGET} attempts (seed {config.seed})"
-    )
+    table = {p: {o: sample_interval(rng, d) for o in universe.objects} for p in params}
+    mapping = SoftMapping.from_dict(universe, table)
+    if isinstance(config.beta_policy, IntervalValue):
+        beta = config.beta_policy
+    else:
+        beta = sample_interval(rng, d)
+    return build_space(mapping, beta, f"repair:{params[0]}")
 
 
 def grid_intervals(d: int) -> List[IntervalValue]:

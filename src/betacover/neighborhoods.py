@@ -11,7 +11,8 @@ The complementary neighborhood is the transpose of the fuzzy
 neighborhood matrix.  Crisp neighborhoods threshold the fuzzy grades at
 beta; the crisp complementary neighborhood is defined by the same
 thresholding applied to the transpose.  Every neighborhood is read
-from a ``NeighborhoodSystem``, built once per space.  No complemented
+from a ``NeighborhoodSystem``, built once per space; ``fuzzy_matrix``
+gives the fuzzy matrix alone, for any mapping and beta.  No complemented
 grades are stored: the lower operators are derived from the upper ones
 by duality.
 """
@@ -22,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import TOP, IntervalValue, leq_bool
-from .space import SoftSpace
+from .space import SoftMapping, SoftSpace
 
 
 def crisp_of(g: IVFuzzySet, beta: IntervalValue) -> CrispSubset:
@@ -33,23 +34,40 @@ def crisp_of(g: IVFuzzySet, beta: IntervalValue) -> CrispSubset:
     )
 
 
-def _fuzzy_row(space: SoftSpace, i: int) -> Tuple[Tuple[IntervalValue, ...], bool]:
-    """Meet of selected parameter sets for object index i.
+Matrix = Tuple[Tuple[IntervalValue, ...], ...]
 
-    Returns the grade row plus a flag marking the empty-index convention.
+
+def _selected(mapping: SoftMapping, beta: IntervalValue, i: int) -> List[IVFuzzySet]:
+    """The parameter sets whose grade at object index i dominates beta."""
+    return [fs for fs in mapping.assignment if leq_bool(beta, fs.at(i))]
+
+
+def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
+    """The fuzzy neighborhood matrix of any mapping and beta, covering or not.
+
+    Row i is the meet of the sets selected at object i, or the top row
+    [1,1]^U when none is.
     """
-    beta = space.beta
-    selected = [fs for fs in space.mapping.assignment if leq_bool(beta, fs.at(i))]
-    n = len(space.universe)
-    if not selected:
-        return tuple(TOP for _ in range(n)), True
-    lo_rows = [[g.lo for g in fs.grades] for fs in selected]
-    hi_rows = [[g.hi for g in fs.grades] for fs in selected]
-    row = tuple(
-        IntervalValue(min(r[j] for r in lo_rows), min(r[j] for r in hi_rows))
-        for j in range(n)
-    )
-    return row, False
+    n = len(mapping.universe)
+    rows = []
+    for i in range(n):
+        selected = _selected(mapping, beta, i)
+        if not selected:
+            rows.append(tuple(TOP for _ in range(n)))
+            continue
+        lo_rows = [[g.lo for g in fs.grades] for fs in selected]
+        hi_rows = [[g.hi for g in fs.grades] for fs in selected]
+        row = tuple(
+            IntervalValue(min(r[j] for r in lo_rows), min(r[j] for r in hi_rows))
+            for j in range(n)
+        )
+        rows.append(row)
+    return tuple(rows)
+
+
+def _cuts(matrix: Matrix, beta: IntervalValue) -> Tuple[frozenset, ...]:
+    """Index set of the beta-cut of each row."""
+    return tuple(frozenset(j for j, g in enumerate(row) if leq_bool(beta, g)) for row in matrix)
 
 
 # Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
@@ -66,37 +84,24 @@ class NeighborhoodSystem:
 
     def __init__(self, space: SoftSpace):
         self.space = space
-        universe = space.universe
-        n = len(universe)
-        rows: List[Tuple[IntervalValue, ...]] = []
-        empty: List[str] = []
-        for i, obj in enumerate(universe.objects):
-            row, used_convention = _fuzzy_row(space, i)
-            rows.append(row)
-            if used_convention:
-                empty.append(obj)
-        self._n = tuple(rows)
-        self._m = tuple(
-            tuple(rows[j][i] for j in range(n)) for i in range(n)
+        mapping, beta = space.mapping, space.beta
+        self._n = fuzzy_matrix(mapping, beta)
+        self._m = tuple(zip(*self._n))
+        self._crisp = _cuts(self._n, beta)
+        self._crisp_co = _cuts(self._m, beta)
+        self.empty_index_objects = frozenset(
+            obj for i, obj in enumerate(space.universe.objects) if not _selected(mapping, beta, i)
         )
-        beta = space.beta
-        self._crisp = tuple(
-            frozenset(j for j in range(n) if leq_bool(beta, row[j])) for row in self._n
-        )
-        self._crisp_co = tuple(
-            frozenset(j for j in range(n) if leq_bool(beta, row[j])) for row in self._m
-        )
-        self.empty_index_objects = frozenset(empty)
         self._kernels = {1: self._n, 2: self._m}
 
     # -- fuzzy accessors -------------------------------------------------
 
     @property
-    def matrix(self) -> Tuple[Tuple[IntervalValue, ...], ...]:
+    def matrix(self) -> Matrix:
         """The fuzzy neighborhood matrix: row i is N of the i-th object."""
         return self._n
 
-    def kernel(self, kind) -> Tuple[Tuple[IntervalValue, ...], ...]:
+    def kernel(self, kind) -> Matrix:
         """Upper-operator kernel matrix of a kind: N, its transpose M, N meet M, N join M.
 
         ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.

@@ -11,7 +11,7 @@ state; ingestion chooses between rejecting and repairing non-coverings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Mapping, Tuple
 
 from .errors import NotACoveringError, UnknownParameterError
 from .fuzzysets import IVFuzzySet, Universe
@@ -92,7 +92,10 @@ def is_full_covering(mapping: SoftMapping) -> bool:
 
 @dataclass(frozen=True)
 class SoftSpace:
-    """A validated beta-covering approximation space."""
+    """A validated beta-covering approximation space.
+
+    Construction is the one place the covering condition is checked.
+    """
 
     mapping: SoftMapping
     beta: IntervalValue
@@ -114,21 +117,16 @@ class SoftSpace:
         return self.mapping.parameters
 
 
-Policy = Union[str, Tuple[str, str]]
-
-
-def parse_policy(policy: Policy) -> Tuple[str, str]:
-    """Normalize 'strict' | 'repair:<param>' | ('repair', param)."""
+def parse_policy(policy: str) -> Tuple[str, str]:
+    """Normalize 'strict' | 'repair:<param>' to (kind, parameter)."""
     if policy == "strict":
         return ("strict", "")
     if isinstance(policy, str) and policy.startswith("repair:"):
         return ("repair", policy.split(":", 1)[1])
-    if isinstance(policy, tuple) and len(policy) == 2 and policy[0] == "repair":
-        return ("repair", policy[1])
     raise ValueError(f"unknown policy {policy!r}; expected 'strict' or 'repair:<param>'")
 
 
-def build_space(mapping: SoftMapping, beta: IntervalValue, policy: Policy = "strict") -> SoftSpace:
+def build_space(mapping: SoftMapping, beta: IntervalValue, policy: str = "strict") -> SoftSpace:
     """Construct a space under the chosen covering policy.
 
     strict: raise NotACoveringError (report attached) when validation fails.
@@ -137,15 +135,14 @@ def build_space(mapping: SoftMapping, beta: IntervalValue, policy: Policy = "str
     index set at each repaired object.
     """
     kind, target = parse_policy(policy)
-    report = validate_beta_covering(mapping, beta)
-    if report.ok:
+    try:
         return SoftSpace(mapping, beta)
-    if kind == "strict":
-        bad = ", ".join(f"{o}:{j}" for o, j in report.failures)
-        raise NotACoveringError(f"beta-covering condition fails at {bad}", report=report)
+    except NotACoveringError as exc:
+        if kind == "strict":
+            raise
+        failing = {obj for obj, _ in exc.report.failures}
 
     target_set = mapping.set_for(target)  # raises UnknownParameterError early
-    failing = {obj for obj, _ in report.failures}
     repaired = IVFuzzySet(
         mapping.universe,
         tuple(

@@ -156,6 +156,16 @@ class TestInputsSerialization:
         assert back.beta_low == inputs.beta_low
 
 
+class TestNeighborhoodMonotonicity:
+    def test_skips_when_beta_low_is_not_below_beta(self, derived_space):
+        from dataclasses import replace
+
+        from betacover import TOP
+
+        inputs = replace(make_inputs(derived_space), beta_low=TOP)
+        assert check("N-MONO", derived_space, inputs).outcome == SKIP
+
+
 class TestShrinking:
     def test_shrunk_instance_still_fails_and_is_no_larger(self, kind3_gap_space, xyz):
         from dataclasses import replace

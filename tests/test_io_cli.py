@@ -219,3 +219,18 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli(["no-such-command"])
         assert exc.value.code == 2
+
+
+def test_pyproject_version_is_the_package_version():
+    from pathlib import Path
+
+    import betacover
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "betacover.__version__"}
+    assert betacover.__version__ == "1.0.0"

@@ -110,7 +110,6 @@ class TestPolicies:
     def test_parse_policy_forms(self):
         assert parse_policy("strict") == ("strict", "")
         assert parse_policy("repair:e2") == ("repair", "e2")
-        assert parse_policy(("repair", "e2")) == ("repair", "e2")
         with pytest.raises(ValueError):
             parse_policy("mend")
 
@@ -137,3 +136,37 @@ class TestPolicies:
         m = mapping(GOOD)
         space = build_space(m, iv("[0.5,0.6]"), "repair:e1")
         assert space.mapping is m
+
+
+class TestCoveringCheckedOnce:
+    """SoftSpace is the one place a valid covering is checked."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import betacover.space
+
+        seen = []
+        real = betacover.space.validate_beta_covering
+
+        def counting(mapping, beta):
+            seen.append(beta)
+            return real(mapping, beta)
+
+        monkeypatch.setattr(betacover.space, "validate_beta_covering", counting)
+        return seen
+
+    def test_parse_space_strict(self, calls):
+        from betacover import parse_space
+        from betacover.serialize import serialize_space
+
+        text = serialize_space(SoftSpace(mapping(GOOD), iv("[0.5,0.6]")))
+        calls.clear()
+        space = parse_space(text, policy="strict")
+        assert calls == [space.beta]
+
+    def test_gen_space_on_a_covering_draw(self, calls):
+        from betacover import GenConfig, gen_space
+
+        # A draw that needed repair would be checked again after the repair.
+        space = gen_space(GenConfig(universe_size=4, parameter_count=3, seed=3))
+        assert calls == [space.beta]
