@@ -89,3 +89,34 @@ def test_cli_document_is_pinned(name, cli_documents, capsys):
         argv = ["approximate", space, "--kind", kind, "--mode", mode,
                 "--set", str(cli_documents[mode])]
     assert _sha256(_cli_stdout(capsys, argv)) == CLI_DIGESTS[name]
+
+
+# A document that fails the covering condition at y and z; the repair
+# policy joins e2 with beta there.
+NON_COVERING_JSON = """{
+  "universe": ["x", "y", "z"],
+  "parameters": ["e1", "e2"],
+  "beta": "[0.5,0.6]",
+  "membership": {
+    "e1": {"x": "[0.6,0.7]", "y": "[0.2,0.3]", "z": "[0.3,0.6]"},
+    "e2": {"x": "[0.4,0.9]", "y": "[0.1,0.4]", "z": "[0.4,0.55]"}
+  }
+}"""
+
+DERIVED_DIGESTS = {
+    # gen_space repairs 4 of the 4 objects for seed 2 and none for seed 3.
+    "gen-random-4x3-seed2": "10f7adcbace1b787626c3df5c4aaa619354bab68fceaa478f974a0abd2ea5501",
+    "gen-random-4x3-seed3": "6163324658b0a5524038874a54a9c3b87e2b09f8e97f159e6462aa42a917e438",
+    "neighborhood-repair-e2": "5dd66a7badae3b9fb1c232a1f9931f39fd71ac032b9b88161f52792a8b0cad2a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_DIGESTS))
+def test_derived_space_document_is_pinned(name, tmp_path, capsys):
+    if name.startswith("gen-random"):
+        argv = ["gen-random", "--size", "4,3", "--seed", name[-1]]
+    else:
+        path = tmp_path / "space.json"
+        path.write_text(NON_COVERING_JSON, encoding="utf-8")
+        argv = ["neighborhood", "--policy", "repair:e2", "--matrix", str(path)]
+    assert _sha256(_cli_stdout(capsys, argv)) == DERIVED_DIGESTS[name]
