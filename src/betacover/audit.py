@@ -33,10 +33,8 @@ from .errors import UnknownTheoremError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .generate import (
     GenConfig,
-    drop_object,
-    drop_parameter,
+    GradeTable,
     gen_space,
-    grade_table,
     rebuild_space,
     sample_beta_below,
     sample_crisp_subset,
@@ -44,7 +42,6 @@ from .generate import (
     sample_hypothesis_set,
     sample_interval,
     snap_candidates,
-    snap_grade,
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
 from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
@@ -139,7 +136,7 @@ def _companion_space(space: SoftSpace, rng: random.Random) -> Optional[SoftSpace
     skip.
     """
     params = list(space.parameters)
-    table = grade_table(space)
+    table = space.mapping.table()
     mode = rng.randrange(3)
     if mode in (0, 2):
         source = rng.choice(params)
@@ -788,37 +785,41 @@ def _project_inputs(inputs: CheckInputs, universe: Universe) -> CheckInputs:
     )
 
 
-def _replace_fuzzy_grade(fs: IVFuzzySet, index: int, grade: IntervalValue) -> IVFuzzySet:
-    grades = list(fs.grades)
-    grades[index] = grade
-    return IVFuzzySet(fs.universe, tuple(grades))
+def _shrink_tables(space: SoftSpace) -> Iterator[GradeTable]:
+    """Edited grade tables: drop an object, drop a parameter, snap a cell."""
+    table = space.mapping.table()
+    if len(space.universe) > 1:
+        for obj in space.universe.objects:
+            yield {p: {o: g for o, g in row.items() if o != obj} for p, row in table.items()}
+    if len(table) > 1:
+        for param in table:
+            yield {p: row for p, row in table.items() if p != param}
+    for param, row in table.items():
+        for obj, grade in row.items():
+            for snapped in snap_candidates(grade):
+                yield {**table, param: {**row, obj: snapped}}
 
 
 def _shrink_candidates(
     space: SoftSpace, inputs: CheckInputs
 ) -> Iterator[Tuple[SoftSpace, CheckInputs]]:
     """Smaller or simpler instances, in the order the shrinker tries them."""
-    for obj in space.universe.objects:
-        candidate = drop_object(space, obj)
-        if candidate is not None:
-            yield candidate, _project_inputs(inputs, candidate.universe)
-    for param in space.parameters:
-        candidate = drop_parameter(space, param)
-        if candidate is not None:
+    for table in _shrink_tables(space):
+        candidate = rebuild_space(space, table)  # None: the edit broke the covering
+        if candidate is None:
+            continue
+        if candidate.universe == space.universe:
             yield candidate, inputs
-    for param in space.parameters:
-        for obj in space.universe.objects:
-            for snapped in snap_candidates(space.mapping.set_for(param).grade(obj)):
-                candidate = snap_grade(space, param, obj, snapped)
-                if candidate is not None:
-                    yield candidate, inputs
+        else:
+            yield candidate, _project_inputs(inputs, candidate.universe)
     for attr in ("fuzzy_x", "fuzzy_y", "hypothesis_x"):
         fs = getattr(inputs, attr)
         if fs is None:
             continue
         for i, grade in enumerate(fs.grades):
             for snapped in snap_candidates(grade):
-                yield space, replace(inputs, **{attr: _replace_fuzzy_grade(fs, i, snapped)})
+                grades = fs.grades[:i] + (snapped,) + fs.grades[i + 1 :]
+                yield space, replace(inputs, **{attr: IVFuzzySet(fs.universe, grades)})
 
 
 def shrink_counterexample(

@@ -2,7 +2,7 @@
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit
 status: 0 success, 1 audit found a failing law, 2 usage or validation
-errors.
+errors, 3 an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .serialize import (
     set_to_doc,
     space_to_doc,
 )
-from .space import parse_policy
 
 
 def _envelope(payload: dict) -> dict:
@@ -245,17 +244,14 @@ _COMMANDS = {
 def run_cli(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "policy", None) is not None:
-        try:
-            parse_policy(args.policy)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return _COMMANDS[args.command](args)
     except (BetacoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, never a verdict: keep exit 1 for law failures
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

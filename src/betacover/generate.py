@@ -176,16 +176,11 @@ def exhaustive_spaces(
                         yield SoftSpace(mapping, beta)
 
 
-# -- shrinking helpers -------------------------------------------------------
-
-
-def grade_table(space: SoftSpace) -> GradeTable:
-    """Editable copy of the grades as {parameter: {object: grade}}."""
-    return {p: fs.to_dict() for p, fs in zip(space.parameters, space.mapping.assignment)}
+# -- derived spaces and shrinking ------------------------------------------
 
 
 def rebuild_space(space: SoftSpace, table: GradeTable) -> Optional[SoftSpace]:
-    """Space with the same beta over an edited grade table, or None if not a covering.
+    """Space with the same beta over an edited ``mapping.table()``, or None if not a covering.
 
     The universe is the table's objects, in the order of its first row.
     """
@@ -194,30 +189,6 @@ def rebuild_space(space: SoftSpace, table: GradeTable) -> Optional[SoftSpace]:
         return SoftSpace(SoftMapping.from_dict(universe, table), space.beta)
     except NotACoveringError:
         return None
-
-
-def drop_object(space: SoftSpace, obj: str) -> Optional[SoftSpace]:
-    """Space restricted to U minus {obj}, or None if that is not a covering."""
-    if len(space.universe) == 1:
-        return None
-    table = grade_table(space)
-    for row in table.values():
-        del row[obj]
-    return rebuild_space(space, table)
-
-
-def drop_parameter(space: SoftSpace, param: str) -> Optional[SoftSpace]:
-    if len(space.parameters) == 1:
-        return None
-    table = grade_table(space)
-    del table[param]
-    return rebuild_space(space, table)
-
-
-def snap_grade(space: SoftSpace, param: str, obj: str, grade: IntervalValue) -> Optional[SoftSpace]:
-    table = grade_table(space)
-    table[param][obj] = grade
-    return rebuild_space(space, table)
 
 
 def snap_candidates(value: IntervalValue) -> List[IntervalValue]:

@@ -23,6 +23,10 @@ from .errors import EmptyFamilyError
 
 EndpointLike = Union[Fraction, int, str]
 
+# Largest |exponent| an endpoint literal such as "5e-1" may carry: Fraction
+# expands 10**exponent exactly, so "1e-99999999" would stall the parser.
+MAX_EXPONENT = 1000
+
 _INTERVAL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 
 
@@ -38,8 +42,15 @@ class Relation(Enum):
 def parse_endpoint(text: str) -> Fraction:
     """Parse a decimal ("0.55") or rational ("11/20") endpoint exactly.
 
-    Raises ValueError if the literal is malformed or outside [0,1].
+    Raises ValueError if the literal is malformed, outside [0,1], or has
+    an exponent beyond +-MAX_EXPONENT.
     """
+    if "e" in text or "E" in text:
+        exponent = text.lower().rpartition("e")[2].strip().lstrip("+-").lstrip("0")
+        if exponent.isdecimal() and (
+            len(exponent) > len(str(MAX_EXPONENT)) or int(exponent) > MAX_EXPONENT
+        ):
+            raise ValueError(f"bad endpoint literal {text!r}: exponent above {MAX_EXPONENT}")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -28,6 +28,30 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _loads(text: str):
+    """Decode JSON text; text json cannot decode is a SpaceSyntaxError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpaceSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise SpaceSyntaxError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise SpaceSyntaxError(str(exc)) from None
+
+
+def _strings(value, location: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SpaceSyntaxError("expected a list of strings", location)
+    return value
+
+
+def _object(value, location: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpaceSyntaxError("expected a JSON object", location)
+    return value
+
+
 def _parse_interval(text, location: str) -> IntervalValue:
     if not isinstance(text, str):
         raise SpaceSyntaxError(f"interval literal must be a string, got {text!r}", location)
@@ -67,15 +91,13 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     if extra:
         raise SpaceSyntaxError(f"unexpected keys {sorted(extra)}")
     try:
-        universe = Universe(tuple(doc["universe"]))
+        universe = Universe(tuple(_strings(doc["universe"], "universe")))
     except ValueError as exc:
         raise SpaceSyntaxError(str(exc), "universe") from None
-    parameters = list(doc["parameters"])
+    parameters = _strings(doc["parameters"], "parameters")
     if not parameters or len(set(parameters)) != len(parameters):
         raise SpaceSyntaxError("parameters must be nonempty and unique", "parameters")
-    membership = doc["membership"]
-    if not isinstance(membership, dict):
-        raise SpaceSyntaxError("membership must be an object", "membership")
+    membership = _object(doc["membership"], "membership")
     extra_params = set(membership) - set(parameters)
     if extra_params:
         raise SpaceSyntaxError(f"membership for unknown parameters {sorted(extra_params)}")
@@ -83,7 +105,7 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     for p in parameters:
         if p not in membership:
             raise IncompleteTableError(p, "*")
-        cells = membership[p]
+        cells = _object(membership[p], f"membership.{p}")
         extra_objs = set(cells) - set(universe.objects)
         if extra_objs:
             raise SpaceSyntaxError(
@@ -101,11 +123,7 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
 
 
 def parse_space_json(text: str) -> Tuple[SoftMapping, IntervalValue]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpaceSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
-    return parse_space_doc(doc)
+    return parse_space_doc(_loads(text))
 
 
 def serialize_space_csv(space: SoftSpace) -> str:
@@ -119,8 +137,10 @@ def serialize_space_csv(space: SoftSpace) -> str:
 
 
 def parse_space_csv(text: str) -> Tuple[SoftMapping, None]:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise SpaceSyntaxError(str(exc)) from None
     if not rows:
         raise SpaceSyntaxError("empty CSV document")
     header = rows[0]
@@ -195,7 +215,7 @@ def parse_set_doc(doc: dict, universe: Universe):
     if mode == "fuzzy":
         if set(doc) != {"mode", "grades"}:
             raise SpaceSyntaxError("fuzzy set document needs exactly 'mode' and 'grades'")
-        grades = doc["grades"]
+        grades = _object(doc["grades"], "grades")
         if set(grades) != set(universe.objects):
             raise SpaceSyntaxError("grade keys must match the universe exactly", "grades")
         return IVFuzzySet.from_dict(
@@ -205,7 +225,7 @@ def parse_set_doc(doc: dict, universe: Universe):
     if mode == "crisp":
         if set(doc) != {"mode", "members"}:
             raise SpaceSyntaxError("crisp set document needs exactly 'mode' and 'members'")
-        members = doc["members"]
+        members = _strings(doc["members"], "members")
         unknown = [m for m in members if m not in universe]
         if unknown:
             raise SpaceSyntaxError(f"members not in universe: {unknown}", "members")
@@ -214,8 +234,4 @@ def parse_set_doc(doc: dict, universe: Universe):
 
 
 def parse_set(text: str, universe: Universe):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpaceSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
-    return parse_set_doc(doc, universe)
+    return parse_set_doc(_loads(text), universe)

@@ -11,7 +11,7 @@ state; ingestion chooses between rejecting and repairing non-coverings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import NotACoveringError, UnknownParameterError
 from .fuzzysets import IVFuzzySet, Universe
@@ -50,6 +50,10 @@ class SoftMapping:
         params = tuple(table)
         sets = tuple(IVFuzzySet.from_dict(universe, table[p]) for p in params)
         return cls(universe, params, sets)
+
+    def table(self) -> Dict[str, Dict[str, IntervalValue]]:
+        """Editable copy of the grades, in the shape ``from_dict`` reads."""
+        return {p: fs.to_dict() for p, fs in zip(self.parameters, self.assignment)}
 
     def set_for(self, parameter: str) -> IVFuzzySet:
         try:
@@ -140,19 +144,10 @@ def build_space(mapping: SoftMapping, beta: IntervalValue, policy: str = "strict
     except NotACoveringError as exc:
         if kind == "strict":
             raise
-        failing = {obj for obj, _ in exc.report.failures}
+        failures = exc.report.failures
 
-    target_set = mapping.set_for(target)  # raises UnknownParameterError early
-    repaired = IVFuzzySet(
-        mapping.universe,
-        tuple(
-            g.join(beta) if obj in failing else g
-            for obj, g in zip(mapping.universe.objects, target_set.grades)
-        ),
-    )
-    new_assignment = tuple(
-        repaired if p == target else fs
-        for p, fs in zip(mapping.parameters, mapping.assignment)
-    )
-    fixed = SoftMapping(mapping.universe, mapping.parameters, new_assignment)
-    return SoftSpace(fixed, beta)
+    mapping.set_for(target)  # raises UnknownParameterError early
+    table = mapping.table()
+    for obj, _ in failures:
+        table[target][obj] = table[target][obj].join(beta)
+    return SoftSpace(SoftMapping.from_dict(mapping.universe, table), beta)

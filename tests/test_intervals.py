@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from betacover import (
     meet,
     relation,
 )
-from betacover.intervals import format_endpoint, parse_endpoint
+from betacover.intervals import MAX_EXPONENT, format_endpoint, parse_endpoint
 
 from conftest import intervals, iv
 
@@ -64,6 +65,22 @@ class TestEndpointText:
 
     def test_rational_and_decimal_agree(self):
         assert parse_endpoint("11/20") == parse_endpoint("0.55")
+
+    def test_long_decimals_round_trip(self):
+        for v in (Fraction(1, 2**64), Fraction(2**64 - 1, 2**64), Fraction(7, 5**30)):
+            text = format_endpoint(v)
+            assert "e" not in text and parse_endpoint(text) == v
+
+    def test_exponents_within_the_bound_parse(self):
+        assert parse_endpoint("5e-1") == Fraction(1, 2)
+        assert parse_endpoint(f"1E-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+
+    def test_exponent_beyond_the_bound_is_rejected_fast(self):
+        start = time.perf_counter()
+        for text in (f"1e-{MAX_EXPONENT + 1}", "1e-99999999", "0.5e+0000099999999"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_endpoint(text)
+        assert time.perf_counter() - start < 1
 
 
 class TestOrder:

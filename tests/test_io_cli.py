@@ -1,18 +1,24 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacover import (
+    DocumentError,
     IncompleteTableError,
     SpaceSyntaxError,
+    Universe,
     parse_set,
     parse_space,
     serialize_set,
     serialize_space,
     serialize_space_csv,
 )
+from betacover import cli
 from betacover.cli import run_cli
-from betacover.serialize import parse_space_csv, parse_space_doc, space_to_doc
+from betacover.serialize import parse_set_doc, parse_space_csv, parse_space_doc, space_to_doc
 
 from conftest import fuzzy, iv
 
@@ -91,6 +97,10 @@ class TestCsv:
         with pytest.raises(SpaceSyntaxError):
             parse_space_csv("object\nx\n")
 
+    def test_oversized_field_rejected(self):
+        with pytest.raises(SpaceSyntaxError):
+            parse_space_csv('object,e1\nx,"' + "0" * 200000 + '"\n')
+
     def test_ragged_row_rejected(self):
         with pytest.raises(IncompleteTableError):
             parse_space_csv('object,e1,e2\nx,"[0,1]"\n')
@@ -114,6 +124,103 @@ class TestSetDocuments:
     def test_unknown_mode_rejected(self, xyz):
         with pytest.raises(SpaceSyntaxError):
             parse_set('{"mode":"rough","members":[]}', xyz)
+
+
+def _space_with(**fields) -> str:
+    doc = json.loads(SPACE_JSON)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+# name: (document role, text, fragment the error message must carry)
+HOSTILE_DOCUMENTS = {
+    "universe-string": ("space", _space_with(universe="xyz"), "(at universe)"),
+    "universe-nested": ("space", _space_with(universe=[["x"], "y", "z"]), "(at universe)"),
+    "parameters-string": ("space", _space_with(parameters="e1"), "(at parameters)"),
+    "parameters-nested": ("space", _space_with(parameters=[["e1"], "e2"]), "(at parameters)"),
+    "cells-list": (
+        "space",
+        _space_with(membership={"e1": ["x", "y", "z"], "e2": {}}),
+        "(at membership.e1)",
+    ),
+    "huge-exponent": ("space", _space_with(beta="[1e-99999999,0.5]"), "(at beta)"),
+    "space-deep-nesting": ("space", "[" * 200000, "nested too deeply"),
+    "grades-list": ("set", '{"mode":"fuzzy","grades":["x","y","z"]}', "(at grades)"),
+    "members-string": ("set", '{"mode":"crisp","members":"xz"}', "(at members)"),
+    "members-nested": ("set", '{"mode":"crisp","members":[["x"]]}', "(at members)"),
+    "set-deep-nesting": ("set", "[" * 200000, "nested too deeply"),
+}
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+    def test_hostile_document_exits_2(self, name, space_file, tmp_path, capsys):
+        role, text, fragment = HOSTILE_DOCUMENTS[name]
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        if role == "space":
+            argv = ["validate", str(path)]
+        else:
+            argv = ["approximate", space_file, "--kind", "1", "--mode", "crisp",
+                    "--set", str(path)]
+        start = time.perf_counter()
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 200000, '{"a":' * 100000, '{"universe": ' + "1" * 5000 + "}"],
+        ids=["deep-list", "deep-object", "huge-integer"],
+    )
+    def test_undecodable_json_is_a_syntax_error(self, text, xyz):
+        with pytest.raises(SpaceSyntaxError):
+            parse_space(text)
+        with pytest.raises(SpaceSyntaxError):
+            parse_set(text, xyz)
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(["x", "y", "z", "e1", "e2", "[0,1]", "[0.5,0.6]", "[1e-9,1]"])
+    | st.text(max_size=4)
+)
+_KEYS = st.sampled_from(["x", "y", "z", "e1", "e2"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=12,
+)
+SPACE_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"universe": JSON_VALUES, "parameters": JSON_VALUES, "beta": JSON_VALUES,
+     "membership": JSON_VALUES}
+)
+_MODES = st.sampled_from(["fuzzy", "crisp"]) | JSON_VALUES
+SET_DOCS = (
+    JSON_VALUES
+    | st.fixed_dictionaries({"mode": _MODES, "grades": JSON_VALUES})
+    | st.fixed_dictionaries({"mode": _MODES, "members": JSON_VALUES})
+)
+
+
+@settings(max_examples=300, deadline=500)
+@given(SPACE_DOCS)
+def test_any_json_value_is_a_space_or_a_document_error(doc):
+    try:
+        parse_space_doc(doc)
+    except DocumentError:
+        pass
+
+
+@settings(max_examples=300, deadline=500)
+@given(SET_DOCS)
+def test_any_json_value_is_a_set_or_a_document_error(doc):
+    try:
+        parse_set_doc(doc, Universe(("x", "y", "z")))
+    except DocumentError:
+        pass
 
 
 @pytest.fixture
@@ -214,6 +321,14 @@ class TestCli:
         assert code == 1
         doc = json.loads(out.read_text())
         assert doc["ok"] is False and doc["law_failures"] == ["REL-F1"]
+
+    def test_internal_error_exits_3(self, space_file, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+        assert run_cli(["validate", space_file]) == 3
+        assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
