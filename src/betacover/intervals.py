@@ -23,8 +23,8 @@ from .errors import EmptyFamilyError
 
 EndpointLike = Union[Fraction, int, str]
 
-# Largest |exponent| an endpoint literal such as "5e-1" may carry: Fraction
-# expands 10**exponent exactly, so "1e-99999999" would stall the parser.
+# Largest |exponent| an endpoint literal such as "5e-1" or "5e-0_1" may carry:
+# Fraction expands 10**exponent exactly, so "1e-99_999_999" would stall the parser.
 MAX_EXPONENT = 1000
 
 _INTERVAL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
@@ -46,7 +46,7 @@ def parse_endpoint(text: str) -> Fraction:
     an exponent beyond +-MAX_EXPONENT.
     """
     if "e" in text or "E" in text:
-        exponent = text.lower().rpartition("e")[2].strip().lstrip("+-").lstrip("0")
+        exponent = text.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
         if exponent.isdecimal() and (
             len(exponent) > len(str(MAX_EXPONENT)) or int(exponent) > MAX_EXPONENT
         ):
