@@ -1,5 +1,20 @@
 """Exception hierarchy shared across the package."""
 
+# Characters of a document's literal that an error message quotes.
+EXCERPT_CHARS = 40
+
+
+def excerpt(value) -> str:
+    """repr of a literal from a document, cut to a bounded length.
+
+    A string of at most EXCERPT_CHARS characters is quoted whole; a longer
+    one, or a long repr of another value, by its start and its length.
+    """
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= EXCERPT_CHARS:
+        return repr(value)
+    return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
+
 
 class BetacoverError(Exception):
     """Base class for all library errors."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from .errors import UniverseMismatchError, UnknownObjectError
-from .intervals import BOTTOM, TOP, IntervalValue, leq_bool
+from .intervals import BOTTOM, TOP, IntervalValue, complement, join, leq_bool, meet
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,17 @@ class IVFuzzySet:
     def intersect(self, other: "IVFuzzySet") -> "IVFuzzySet":
         _require_same_universe(self, other)
         return IVFuzzySet(
-            self.universe, tuple(a.meet(b) for a, b in zip(self.grades, other.grades))
+            self.universe, tuple(map(meet, self.grades, other.grades))
         )
 
     def union(self, other: "IVFuzzySet") -> "IVFuzzySet":
         _require_same_universe(self, other)
         return IVFuzzySet(
-            self.universe, tuple(a.join(b) for a, b in zip(self.grades, other.grades))
+            self.universe, tuple(map(join, self.grades, other.grades))
         )
 
     def complement(self) -> "IVFuzzySet":
-        return IVFuzzySet(self.universe, tuple(g.complement() for g in self.grades))
+        return IVFuzzySet(self.universe, tuple(map(complement, self.grades)))
 
     def is_subset(self, other: "IVFuzzySet") -> bool:
         _require_same_universe(self, other)

@@ -9,6 +9,13 @@ exact relation should use :func:`relation` rather than :func:`leq_bool`.
 All arithmetic is exact (``fractions.Fraction`` endpoints), so every
 lattice identity checked elsewhere in the package is an exact equality
 with zero tolerance.
+
+An interval is validated once, where it enters the program: parsing,
+``of``, ``point`` and direct construction check ``0 <= lo <= hi <= 1``.
+The meet, join or complement of valid intervals is valid, so the lattice
+operations build their results unchecked.  Endpoints are compared by
+cross-multiplying numerators and denominators, which gives Fraction's
+order without its per-compare ``numbers.Rational`` check.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import EmptyFamilyError
+from .errors import EmptyFamilyError, excerpt
 
 EndpointLike = Union[Fraction, int, str]
 
@@ -50,13 +57,22 @@ def parse_endpoint(text: str) -> Fraction:
         if exponent.isdecimal() and (
             len(exponent) > len(str(MAX_EXPONENT)) or int(exponent) > MAX_EXPONENT
         ):
-            raise ValueError(f"bad endpoint literal {text!r}: exponent above {MAX_EXPONENT}")
+            raise ValueError(
+                f"bad endpoint literal {excerpt(text)}: exponent above {MAX_EXPONENT}"
+            )
     try:
         value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad endpoint literal {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad endpoint literal {excerpt(text)}: zero denominator") from None
+    except ValueError as exc:
+        # Fraction's own message repeats the whole literal; int's digit-limit
+        # message is kept up to the advice after its ';'.
+        reason = str(exc).partition(";")[0]
+        if reason.startswith("Invalid literal"):
+            reason = "expected a decimal or p/q literal"
+        raise ValueError(f"bad endpoint literal {excerpt(text)}: {reason}") from None
     if not 0 <= value <= 1:
-        raise ValueError(f"endpoint {text!r} outside [0,1]")
+        raise ValueError(f"endpoint {excerpt(text)} outside [0,1]")
     return value
 
 
@@ -87,6 +103,11 @@ def format_endpoint(value: Fraction) -> str:
     return f"{digits[:-k] or '0'}.{digits[-k:]}"
 
 
+def _le(a: Fraction, b: Fraction) -> bool:
+    """a <= b for Fraction endpoints, by cross-multiplication."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
+
+
 @dataclass(frozen=True)
 class IntervalValue:
     """A closed subinterval of [0,1] with exact rational endpoints."""
@@ -95,12 +116,11 @@ class IntervalValue:
     hi: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
+        lo, hi = self.lo, self.hi
+        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
             raise TypeError("endpoints must be Fractions; use IntervalValue.of")
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(
-                f"invalid interval [{self.lo},{self.hi}]: need 0 <= lo <= hi <= 1"
-            )
+        if not (lo.numerator >= 0 and _le(lo, hi) and hi.numerator <= hi.denominator):
+            raise ValueError(f"invalid interval [{lo},{hi}]: need 0 <= lo <= hi <= 1")
 
     @classmethod
     def of(cls, lo: EndpointLike, hi: EndpointLike) -> "IntervalValue":
@@ -118,7 +138,7 @@ class IntervalValue:
         """Parse the canonical text form "[lo,hi]"."""
         m = _INTERVAL_RE.match(text)
         if m is None:
-            raise ValueError(f"bad interval literal {text!r}: expected '[lo,hi]'")
+            raise ValueError(f"bad interval literal {excerpt(text)}: expected '[lo,hi]'")
         return cls(parse_endpoint(m.group(1)), parse_endpoint(m.group(2)))
 
     @property
@@ -126,13 +146,13 @@ class IntervalValue:
         return self.lo == self.hi
 
     def meet(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(min(self.lo, other.lo), min(self.hi, other.hi))
+        return meet(self, other)
 
     def join(self, other: "IntervalValue") -> "IntervalValue":
-        return IntervalValue(max(self.lo, other.lo), max(self.hi, other.hi))
+        return join(self, other)
 
     def complement(self) -> "IntervalValue":
-        return IntervalValue(1 - self.hi, 1 - self.lo)
+        return complement(self)
 
     def text(self) -> str:
         return f"[{format_endpoint(self.lo)},{format_endpoint(self.hi)}]"
@@ -159,24 +179,105 @@ TOP = IntervalValue(Fraction(1), Fraction(1))
 BOTTOM = IntervalValue(Fraction(0), Fraction(0))
 
 
+# -- results derived from valid intervals --------------------------------
+#
+# meet, join and leq_bool run millions of times in an oracle sweep, so they
+# spell out _le's cross-multiplication instead of calling it.
+
+
+def _least(values: list) -> Fraction:
+    """The least of a nonempty list of Fraction endpoints."""
+    best = values[0]
+    n, d = best.numerator, best.denominator
+    for v in values:
+        vn, vd = v.numerator, v.denominator
+        if vn * d < n * vd:
+            best, n, d = v, vn, vd
+    return best
+
+
+def _greatest(values: list) -> Fraction:
+    """The greatest of a nonempty list of Fraction endpoints."""
+    best = values[0]
+    n, d = best.numerator, best.denominator
+    for v in values:
+        vn, vd = v.numerator, v.denominator
+        if vn * d > n * vd:
+            best, n, d = v, vn, vd
+    return best
+
+
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _unchecked(lo: Fraction, hi: Fraction) -> IntervalValue:
+    """An IntervalValue whose endpoints are known to satisfy 0 <= lo <= hi <= 1.
+
+    Only the lattice operations below call this, on endpoints taken from
+    valid intervals; it skips ``__post_init__``.  It sets the fields the way
+    the dataclass does: writing to ``__dict__`` directly is faster but makes
+    each value 160 bytes instead of 96.
+    """
+    value = _new(IntervalValue)
+    _setattr(value, "lo", lo)
+    _setattr(value, "hi", hi)
+    return value
+
+
+def _not_intervals(op: str, *values) -> TypeError:
+    bad = next(v for v in values if not isinstance(v, IntervalValue))
+    return TypeError(f"{op} needs IntervalValue operands, got {type(bad).__name__}")
+
+
+def _members(family: Iterable[IntervalValue], op: str) -> list:
+    items = list(family)
+    if not items:
+        raise EmptyFamilyError(f"{op} over an empty family")
+    for i in items:
+        if not isinstance(i, IntervalValue):
+            raise _not_intervals(op, i)
+    return items
+
+
 def meet(a: IntervalValue, b: IntervalValue) -> IntervalValue:
     """Componentwise minimum (lattice meet)."""
-    return a.meet(b)
+    if not (isinstance(a, IntervalValue) and isinstance(b, IntervalValue)):
+        raise _not_intervals("meet", a, b)
+    x, y = a.lo, b.lo
+    lo = x if x.numerator * y.denominator <= y.numerator * x.denominator else y
+    x, y = a.hi, b.hi
+    return _unchecked(lo, x if x.numerator * y.denominator <= y.numerator * x.denominator else y)
 
 
 def join(a: IntervalValue, b: IntervalValue) -> IntervalValue:
     """Componentwise maximum (lattice join)."""
-    return a.join(b)
+    if not (isinstance(a, IntervalValue) and isinstance(b, IntervalValue)):
+        raise _not_intervals("join", a, b)
+    x, y = a.lo, b.lo
+    lo = x if x.numerator * y.denominator >= y.numerator * x.denominator else y
+    x, y = a.hi, b.hi
+    return _unchecked(lo, x if x.numerator * y.denominator >= y.numerator * x.denominator else y)
 
 
 def complement(a: IntervalValue) -> IntervalValue:
     """[1-hi, 1-lo]; an exact involution."""
-    return a.complement()
+    if not isinstance(a, IntervalValue):
+        raise _not_intervals("complement", a)
+    lo, hi = a.lo, a.hi
+    d = hi.denominator
+    new_lo = Fraction(d - hi.numerator, d)
+    d = lo.denominator
+    return _unchecked(new_lo, Fraction(d - lo.numerator, d))
 
 
 def leq_bool(a: IntervalValue, b: IntervalValue) -> bool:
     """True iff a <= b in the product order."""
-    return a.lo <= b.lo and a.hi <= b.hi
+    x, y = a.lo, b.lo
+    if x.numerator * y.denominator > y.numerator * x.denominator:
+        return False
+    x, y = a.hi, b.hi
+    return x.numerator * y.denominator <= y.numerator * x.denominator
 
 
 def relation(a: IntervalValue, b: IntervalValue) -> Relation:
@@ -203,19 +304,11 @@ def family_meet(family: Iterable[IntervalValue]) -> IntervalValue:
     (top element) belongs to the neighborhood layer, where the context
     defines it.
     """
-    items = list(family)
-    if not items:
-        raise EmptyFamilyError("family_meet over an empty family")
-    lo = min(i.lo for i in items)
-    hi = min(i.hi for i in items)
-    return IntervalValue(lo, hi)
+    items = _members(family, "family_meet")
+    return _unchecked(_least([i.lo for i in items]), _least([i.hi for i in items]))
 
 
 def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
     """Componentwise supremum over a nonempty family."""
-    items = list(family)
-    if not items:
-        raise EmptyFamilyError("family_join over an empty family")
-    lo = max(i.lo for i in items)
-    hi = max(i.hi for i in items)
-    return IntervalValue(lo, hi)
+    items = _members(family, "family_join")
+    return _unchecked(_greatest([i.lo for i in items]), _greatest([i.hi for i in items]))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import TOP, IntervalValue, leq_bool
+from .intervals import TOP, IntervalValue, family_meet, join, leq_bool, meet
 from .space import SoftMapping, SoftSpace
 
 
@@ -55,13 +55,7 @@ def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
         if not selected:
             rows.append(tuple(TOP for _ in range(n)))
             continue
-        lo_rows = [[g.lo for g in fs.grades] for fs in selected]
-        hi_rows = [[g.hi for g in fs.grades] for fs in selected]
-        row = tuple(
-            IntervalValue(min(r[j] for r in lo_rows), min(r[j] for r in hi_rows))
-            for j in range(n)
-        )
-        rows.append(row)
+        rows.append(tuple(map(family_meet, zip(*(fs.grades for fs in selected)))))
     return tuple(rows)
 
 
@@ -71,7 +65,7 @@ def _cuts(matrix: Matrix, beta: IntervalValue) -> Tuple[frozenset, ...]:
 
 
 # Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
-_COMBINE = {3: IntervalValue.meet, 4: IntervalValue.join}
+_COMBINE = {3: meet, 4: join}
 
 
 class NeighborhoodSystem:

@@ -12,7 +12,7 @@ import io
 import json
 from typing import Tuple, Union
 
-from .errors import IncompleteTableError, SpaceSyntaxError
+from .errors import IncompleteTableError, SpaceSyntaxError, excerpt
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .intervals import IntervalValue
 from .space import SoftMapping, SoftSpace, build_space
@@ -37,7 +37,8 @@ def _loads(text: str):
     except RecursionError:
         raise SpaceSyntaxError("JSON nested too deeply") from None
     except ValueError as exc:  # an integer beyond Python's digit limit
-        raise SpaceSyntaxError(str(exc)) from None
+        # keep the digit counts, drop the advice after ';' to raise the limit
+        raise SpaceSyntaxError(str(exc).partition(";")[0]) from None
 
 
 def _strings(value, location: str) -> list:
@@ -54,7 +55,7 @@ def _object(value, location: str) -> dict:
 
 def _parse_interval(text, location: str) -> IntervalValue:
     if not isinstance(text, str):
-        raise SpaceSyntaxError(f"interval literal must be a string, got {text!r}", location)
+        raise SpaceSyntaxError(f"interval literal must be a string, got {excerpt(text)}", location)
     try:
         return IntervalValue.parse(text)
     except ValueError as exc:
@@ -89,7 +90,7 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     if missing:
         raise SpaceSyntaxError(f"missing keys {sorted(missing)}")
     if extra:
-        raise SpaceSyntaxError(f"unexpected keys {sorted(extra)}")
+        raise SpaceSyntaxError(f"unexpected keys {excerpt(sorted(extra))}")
     try:
         universe = Universe(tuple(_strings(doc["universe"], "universe")))
     except ValueError as exc:
@@ -100,7 +101,9 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     membership = _object(doc["membership"], "membership")
     extra_params = set(membership) - set(parameters)
     if extra_params:
-        raise SpaceSyntaxError(f"membership for unknown parameters {sorted(extra_params)}")
+        raise SpaceSyntaxError(
+            f"membership for unknown parameters {excerpt(sorted(extra_params))}"
+        )
     table = {}
     for p in parameters:
         if p not in membership:
@@ -109,7 +112,8 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
         extra_objs = set(cells) - set(universe.objects)
         if extra_objs:
             raise SpaceSyntaxError(
-                f"membership cells for unknown objects {sorted(extra_objs)}", f"membership.{p}"
+                f"membership cells for unknown objects {excerpt(sorted(extra_objs))}",
+                f"membership.{p}",
             )
         row = {}
         for o in universe.objects:
@@ -228,9 +232,9 @@ def parse_set_doc(doc: dict, universe: Universe):
         members = _strings(doc["members"], "members")
         unknown = [m for m in members if m not in universe]
         if unknown:
-            raise SpaceSyntaxError(f"members not in universe: {unknown}", "members")
+            raise SpaceSyntaxError(f"members not in universe: {excerpt(unknown)}", "members")
         return CrispSubset.of(universe, members)
-    raise SpaceSyntaxError(f"unknown mode {mode!r}", "mode")
+    raise SpaceSyntaxError(f"unknown mode {excerpt(mode)}", "mode")
 
 
 def parse_set(text: str, universe: Universe):

@@ -81,3 +81,18 @@ def intervals(draw):
     b = draw(st.integers(0, _DENOM))
     lo, hi = min(a, b), max(a, b)
     return IntervalValue(Fraction(lo, _DENOM), Fraction(hi, _DENOM))
+
+
+# Endpoint denominators 1..13 plus two huge ones, so that a compare or a
+# complement that mixes up numerators and denominators gives a wrong answer.
+MIXED_DENOMINATORS = (*range(1, 14), 2**64, 5**30)
+
+endpoints = st.sampled_from(MIXED_DENOMINATORS).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d))
+)
+
+
+@st.composite
+def mixed_intervals(draw):
+    lo, hi = sorted((draw(endpoints), draw(endpoints)))
+    return IntervalValue(lo, hi)

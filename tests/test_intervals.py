@@ -1,8 +1,9 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacover import (
@@ -21,7 +22,7 @@ from betacover import (
 )
 from betacover.intervals import MAX_EXPONENT, format_endpoint, parse_endpoint
 
-from conftest import intervals, iv
+from conftest import intervals, iv, mixed_intervals
 
 
 class TestConstruction:
@@ -180,3 +181,85 @@ class TestFamilies:
         result = family_meet([iv("[0.2,0.8]"), iv("[0.4,0.5]")])
         assert result == iv("[0.2,0.5]")
         assert result not in (iv("[0.2,0.8]"), iv("[0.4,0.5]"))
+
+
+class TestUncheckedResults:
+    """Lattice results skip validation; they must equal the checked construction.
+
+    The expected values use Fraction's own order and arithmetic, over
+    endpoints with mixed and huge denominators.
+    """
+
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_intervals(), mixed_intervals())
+    def test_meet_and_join_match_fraction_min_max(self, a, b):
+        assert meet(a, b) == IntervalValue(min(a.lo, b.lo), min(a.hi, b.hi))
+        assert join(a, b) == IntervalValue(max(a.lo, b.lo), max(a.hi, b.hi))
+
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_intervals())
+    def test_complement_matches_one_minus(self, a):
+        result = complement(a)
+        assert result == IntervalValue(1 - a.hi, 1 - a.lo)
+        assert type(result.lo) is Fraction and type(result.hi) is Fraction
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6))
+    def test_families_match_fraction_min_max(self, family):
+        los, his = [i.lo for i in family], [i.hi for i in family]
+        assert family_meet(family) == IntervalValue(min(los), min(his))
+        assert family_join(family) == IntervalValue(max(los), max(his))
+
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_intervals(), mixed_intervals())
+    def test_order_matches_fraction_le(self, a, b):
+        forward = a.lo <= b.lo and a.hi <= b.hi
+        backward = b.lo <= a.lo and b.hi <= a.hi
+        assert leq_bool(a, b) == forward
+        expected = {
+            (True, True): Relation.EQUAL,
+            (True, False): Relation.LESS_OR_EQUAL,
+            (False, True): Relation.GREATER_OR_EQUAL,
+            (False, False): Relation.INCOMPARABLE,
+        }[forward, backward]
+        assert relation(a, b) is expected
+
+    def test_order_across_huge_denominators(self):
+        tiny, small = Fraction(1, 5**30), Fraction(1, 2**64)  # 1e-21 < 5e-20
+        a = IntervalValue(tiny, small)
+        b = IntervalValue(small, small)
+        assert leq_bool(a, b) and not leq_bool(b, a)
+        assert meet(a, b) == a and join(a, b) == b
+        assert complement(a) == IntervalValue(1 - small, 1 - tiny)
+
+    @pytest.mark.parametrize("lo,hi", [(0, Fraction(1)), (Fraction(0), 1),
+                                       (0.25, Fraction(1, 2)), (Fraction(0), "1")])
+    def test_construction_rejects_non_fraction_endpoints(self, lo, hi):
+        with pytest.raises(TypeError):
+            IntervalValue(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (Fraction(1, 3), Fraction(1, 4)),  # lo > hi
+        (Fraction(2, 5**30), Fraction(1, 5**30)),  # lo > hi
+        (Fraction(-1, 2**64), Fraction(1, 2)),  # lo < 0
+        (Fraction(-1, 3), Fraction(-1, 5)),  # lo < 0, lo < hi
+        (Fraction(1, 2), Fraction(5**30 + 1, 5**30)),  # hi > 1
+        (Fraction(7, 6), Fraction(5, 4)),  # hi > 1, lo < hi
+    ])
+    def test_construction_rejects_invalid_endpoints(self, lo, hi):
+        with pytest.raises(ValueError):
+            IntervalValue(lo, hi)
+
+    @pytest.mark.parametrize("op", [
+        lambda v: meet(v, TOP), lambda v: meet(TOP, v),
+        lambda v: join(v, BOTTOM), lambda v: join(BOTTOM, v),
+        complement,
+        lambda v: family_meet([TOP, v]), lambda v: family_join([v, TOP]),
+    ], ids=["meet-left", "meet-right", "join-left", "join-right", "complement",
+            "family_meet", "family_join"])
+    def test_non_interval_operands_are_type_errors(self, op):
+        # an object with lo/hi fields must not pass for a valid interval
+        for bad in (SimpleNamespace(lo=Fraction(2), hi=Fraction(3)),
+                    (Fraction(0), Fraction(1)), Fraction(1, 2), None):
+            with pytest.raises(TypeError):
+                op(bad)

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacover import (
+    CrispSubset,
     DocumentError,
     IncompleteTableError,
+    IVFuzzySet,
+    SoftMapping,
     SpaceSyntaxError,
     Universe,
+    build_space,
     parse_set,
     parse_space,
     serialize_set,
@@ -20,7 +24,7 @@ from betacover import cli
 from betacover.cli import run_cli
 from betacover.serialize import parse_set_doc, parse_space_csv, parse_space_doc, space_to_doc
 
-from conftest import fuzzy, iv
+from conftest import fuzzy, iv, mixed_intervals
 
 SPACE_JSON = """{
   "universe": ["x", "y", "z"],
@@ -173,6 +177,62 @@ class TestHostileDocuments:
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
+
+
+# Literals far past any sane length: the error must quote a bounded excerpt
+# and must not pass on Python's advice to raise its int-string limit.
+LONG_LITERAL_DOCUMENTS = {
+    "letters": _space_with(beta="[" + "z" * 5000 + ",1]"),
+    "zero-padded-exponent": _space_with(beta="[1e-" + "0" * 5000 + "5,1]"),
+    "long-decimal": _space_with(beta="[0." + "1" * 5000 + ",1]"),
+    "huge-integer": '{"universe": ' + "1" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_LITERAL_DOCUMENTS))
+def test_long_literal_errors_are_bounded(name, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(LONG_LITERAL_DOCUMENTS[name])
+    assert run_cli(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert max(len(line) for line in err.splitlines()) <= 300
+    assert "set_int_max_str_digits" not in err
+
+
+_NAMES = st.sampled_from(["x", "y", "z", "w"])
+
+
+@st.composite
+def mixed_spaces(draw):
+    """Covering spaces whose grades and beta mix endpoint denominators."""
+    objects = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    parameters = draw(st.lists(st.sampled_from(["e1", "e2", "e3"]), min_size=1, max_size=3,
+                               unique=True))
+    table = {p: {o: draw(mixed_intervals()) for o in objects} for p in parameters}
+    mapping = SoftMapping.from_dict(Universe(tuple(objects)), table)
+    return build_space(mapping, draw(mixed_intervals()), f"repair:{parameters[0]}")
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_spaces())
+    def test_space_round_trip_is_exact_and_byte_stable(self, space):
+        text = serialize_space(space)
+        again = parse_space(text)
+        assert again == space
+        assert serialize_space(again) == text
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.data())
+    def test_set_documents_round_trip(self, data):
+        u = Universe(tuple(data.draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))))
+        fuzzy_set = IVFuzzySet(u, tuple(data.draw(mixed_intervals()) for _ in u))
+        crisp_set = CrispSubset.of(u, data.draw(st.sets(st.sampled_from(u.objects))))
+        for target in (fuzzy_set, crisp_set):
+            text = serialize_set(target)
+            assert parse_set(text, u) == target
+            assert serialize_set(parse_set(text, u)) == text
 
 
 _LEAVES = (

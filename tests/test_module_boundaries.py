@@ -1,0 +1,87 @@
+"""No betacover module reaches into another module's private names.
+
+Each module under ``src/betacover`` is read with ``ast``.  A module may not
+import a ``_``-prefixed name from another betacover module, nor read a
+``_``-prefixed attribute of one it imported.  Dunder names such as
+``__version__`` are public.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import betacover
+
+PACKAGE = Path(betacover.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _imported_module(node: ast.ImportFrom) -> str:
+    """Dotted name a `from ... import` reads from, relative to the package."""
+    if node.level:
+        return "betacover" + (f".{node.module}" if node.module else "")
+    return node.module or ""
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def private_reaches(path: Path) -> list:
+    """(line, text) for each private name the module takes from a sibling."""
+    own = f"betacover.{path.stem}"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> betacover module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _imported_module(node)
+            if source != "betacover" and not source.startswith("betacover."):
+                continue
+            for alias in node.names:
+                if source == "betacover" and (PACKAGE / f"{alias.name}.py").exists():
+                    modules[alias.asname or alias.name] = f"betacover.{alias.name}"
+                elif source != own and _private(alias.name):
+                    found.append((node.lineno, f"from {source} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("betacover."):
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = _dotted(node.value)
+            target = modules.get(base, base)
+            if target.startswith("betacover.") and target != own:
+                found.append((node.lineno, f"{base}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_names_from_sibling_modules(path):
+    assert private_reaches(path) == []
+
+
+def test_the_guard_sees_both_forms(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import _unchecked, meet\n"
+        "from . import neighborhoods as nb, __version__\n"
+        "import betacover.space\n"
+        "nb._selected(None, None, 0)\n"
+        "betacover.space._x\n"
+    )
+    assert [text for _, text in private_reaches(sample)] == [
+        "from betacover.intervals import _unchecked",
+        "nb._selected",
+        "betacover.space._x",
+    ]
