@@ -1,34 +1,34 @@
 """Four kinds of lower/upper approximation operators, fuzzy and crisp.
 
-Only the upper operators are computed.  The fuzzy upper operator folds
-a per-kind kernel over the universe: kind 1 uses the fuzzy neighborhood
-N, kind 2 its transpose M, kind 3 their meet and kind 4 their join
-(``NeighborhoodSystem.kernel``).  The crisp upper operator keeps the
-objects whose crisp neighborhood (kind 1), complementary neighborhood
-(kind 2), both (kind 3) or either (kind 4) meets the target.
+Only the upper operators are computed, as folds of the interval and set
+layers.  The fuzzy upper operator gives each object the join over y of
+``kernel(y) meet X(y)``, the kernel being the fuzzy neighborhood N (kind
+1), its transpose M (kind 2), their meet (kind 3) or their join (kind 4).
+The crisp upper operator keeps the objects whose crisp neighborhood
+(kind 1), complementary neighborhood (kind 2), both (kind 3) or either
+(kind 4) meets the target.
 
-Each lower operator is the dual of its upper operator,
-lower(X) = upper(X^c)^c, for both modes and all four kinds, with the
-complements taken on raw endpoints or index sets.  In the
-kind-4 fuzzy case this reads ``((N or M) and X)`` for the upper kernel,
-so the lower kernel is ``((N^c and M^c) or X)``: the reading under
-which lower4 = lower1 meet lower2 and upper4 = upper1 join upper2 hold,
-as the audit asserts.  The duality laws (A*-P2, CA*-P6) therefore hold
-here by construction; the definition-literal slow path in
-``betacover.oracle`` computes both operators independently and is the
-cross-check for the lower ones.
+Each lower operator is the literal dual of its upper operator,
+lower(X) = upper(X^c)^c, for both modes and all four kinds, through
+``IVFuzzySet.complement`` and ``CrispSubset.complement``.  In the kind-4
+fuzzy case this reads ``((N or M) and X)`` for the upper kernel, so the
+lower kernel is ``((N^c and M^c) or X)``: the reading under which
+lower4 = lower1 meet lower2 and upper4 = upper1 join upper2 hold, as the
+audit asserts.  The duality laws (A*-P2, CA*-P6) therefore hold here by
+construction; the definition-literal slow path in ``betacover.oracle``
+computes both operators independently and is the cross-check for the
+lower ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from .errors import UniverseMismatchError
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import IntervalValue
+from .intervals import family_join, meet
 from .neighborhoods import NeighborhoodSystem
 from .space import SoftSpace
 
@@ -71,44 +71,33 @@ def _check_universe(space: SoftSpace, target: Target) -> None:
         raise UniverseMismatchError("target set is over a different universe")
 
 
-def _upper_bounds(
-    ns: NeighborhoodSystem, kind: Kind, los: List[Fraction], his: List[Fraction]
-) -> List[Tuple[Fraction, Fraction]]:
-    """Per-object join over y of (kernel(y) and X(y)), X given by its endpoint lists."""
-    base = ns.kernel(kind)
-    n = len(los)
-    out = []
-    for i in range(n):
-        row = base[i]
-        acc_lo = acc_hi = None
-        for j in range(n):
-            b = row[j]
-            vlo = b.lo if b.lo < los[j] else los[j]
-            vhi = b.hi if b.hi < his[j] else his[j]
-            if acc_lo is None or vlo > acc_lo:
-                acc_lo = vlo
-            if acc_hi is None or vhi > acc_hi:
-                acc_hi = vhi
-        out.append((acc_lo, acc_hi))
-    return out
+def _fuzzy_upper(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
+    """Per object: the join over y of (kernel(y) meet target(y))."""
+    grades = target.grades
+    return IVFuzzySet(
+        target.universe, tuple(family_join(map(meet, row, grades)) for row in ns.kernel(kind))
+    )
 
 
-def _meets(ns: NeighborhoodSystem, kind: Kind, idx: frozenset) -> List[bool]:
-    """Per object: whether its crisp neighborhoods of the kind meet the index set."""
-    out = []
-    for i, crisp in enumerate(ns.crisp_sets):
-        n_hits = bool(crisp & idx)
-        if kind is Kind.K1:
-            out.append(n_hits)
-            continue
-        m_hits = bool(ns.complementary_crisp_sets[i] & idx)
-        if kind is Kind.K2:
-            out.append(m_hits)
-        elif kind is Kind.K3:
-            out.append(n_hits and m_hits)
-        else:
-            out.append(n_hits or m_hits)
-    return out
+# How an object's two hits - its crisp neighborhood meets the target, its
+# complementary neighborhood does - combine into the hit of each kind.
+_HITS = {
+    Kind.K1: lambda n_hit, m_hit: n_hit,
+    Kind.K2: lambda n_hit, m_hit: m_hit,
+    Kind.K3: lambda n_hit, m_hit: n_hit and m_hit,
+    Kind.K4: lambda n_hit, m_hit: n_hit or m_hit,
+}
+
+
+def _crisp_upper(ns: NeighborhoodSystem, kind: Kind, target: CrispSubset) -> CrispSubset:
+    """Objects whose crisp neighborhoods of the kind meet the target."""
+    u = target.universe
+    inside = frozenset(map(u.index, target.members))
+    hits = _HITS[kind]
+    return CrispSubset(u, frozenset(
+        o for o, n, m in zip(u.objects, ns.crisp_sets, ns.complementary_crisp_sets)
+        if hits(not inside.isdisjoint(n), not inside.isdisjoint(m))
+    ))
 
 
 def fuzzy_lower(
@@ -117,13 +106,10 @@ def fuzzy_lower(
     target: IVFuzzySet,
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
-    """Dual of the upper operator, lower(X) = upper(X^c)^c, on raw endpoints."""
+    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    ns = _system(space, system)
-    grades = target.grades
-    bounds = _upper_bounds(ns, kind, [1 - g.hi for g in grades], [1 - g.lo for g in grades])
-    return IVFuzzySet(space.universe, tuple(IntervalValue(1 - hi, 1 - lo) for lo, hi in bounds))
+    return _fuzzy_upper(_system(space, system), kind, target.complement()).complement()
 
 
 def fuzzy_upper(
@@ -135,10 +121,7 @@ def fuzzy_upper(
     """Per-object join over y of (kernel(y) and target(y))."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    ns = _system(space, system)
-    grades = target.grades
-    bounds = _upper_bounds(ns, kind, [g.lo for g in grades], [g.hi for g in grades])
-    return IVFuzzySet(space.universe, tuple(IntervalValue(lo, hi) for lo, hi in bounds))
+    return _fuzzy_upper(_system(space, system), kind, target)
 
 
 def crisp_lower(
@@ -147,14 +130,10 @@ def crisp_lower(
     target: CrispSubset,
     system: Optional[NeighborhoodSystem] = None,
 ) -> CrispSubset:
-    """Dual of the upper operator: objects whose neighborhoods miss X^c."""
+    """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    ns = _system(space, system)
-    u = space.universe
-    outside = frozenset(i for i, o in enumerate(u.objects) if o not in target.members)
-    hits = _meets(ns, kind, outside)
-    return CrispSubset(u, frozenset(o for o, hit in zip(u.objects, hits) if not hit))
+    return _crisp_upper(_system(space, system), kind, target.complement()).complement()
 
 
 def crisp_upper(
@@ -166,11 +145,7 @@ def crisp_upper(
     """Objects whose crisp neighborhoods of the kind meet the target."""
     kind = Kind.of(kind)
     _check_universe(space, target)
-    ns = _system(space, system)
-    u = space.universe
-    inside = frozenset(u.index(o) for o in target.members)
-    hits = _meets(ns, kind, inside)
-    return CrispSubset(u, frozenset(o for o, hit in zip(u.objects, hits) if hit))
+    return _crisp_upper(_system(space, system), kind, target)
 
 
 def approximate(

@@ -62,7 +62,7 @@ class IncompleteTableError(DocumentError):
     """A (parameter, object) cell is missing from a membership table."""
 
     def __init__(self, parameter, obj):
-        super().__init__(f"missing membership cell ({parameter!r}, {obj!r})")
+        super().__init__(f"missing membership cell ({excerpt(parameter)}, {excerpt(obj)})")
         self.parameter = parameter
         self.object = obj
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import NotACoveringError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
-from .intervals import IntervalValue, leq_bool
+from .intervals import IntervalValue
 from .neighborhoods import NeighborhoodSystem
 from .space import SoftMapping, SoftSpace, build_space
 
@@ -170,10 +170,12 @@ def exhaustive_spaces(
                 for (p, o), grade in zip(cells, combo):
                     table[p][o] = grade
                 mapping = SoftMapping.from_dict(universe, table)
-                joins = [mapping.join_at(o) for o in universe.objects]
                 for beta in intervals:
-                    if all(leq_bool(beta, j) for j in joins):
-                        yield SoftSpace(mapping, beta)
+                    try:
+                        space = SoftSpace(mapping, beta)
+                    except NotACoveringError:
+                        continue
+                    yield space
 
 
 # -- derived spaces and shrinking ------------------------------------------

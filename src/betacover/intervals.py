@@ -34,6 +34,11 @@ EndpointLike = Union[Fraction, int, str]
 # Fraction expands 10**exponent exactly, so "1e-99_999_999" would stall the parser.
 MAX_EXPONENT = 1000
 
+# Most digits, "_" not counted, in one run of an endpoint literal.  Fraction
+# converts each run with int(), whose default limit is this, but an
+# interpreter setting can lift that limit and a longer run then stalls.
+MAX_DIGITS = 4300
+
 _INTERVAL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 
 
@@ -49,9 +54,14 @@ class Relation(Enum):
 def parse_endpoint(text: str) -> Fraction:
     """Parse a decimal ("0.55") or rational ("11/20") endpoint exactly.
 
-    Raises ValueError if the literal is malformed, outside [0,1], or has
-    an exponent beyond +-MAX_EXPONENT.
+    Raises ValueError if the literal is malformed, outside [0,1], has a
+    run of more than MAX_DIGITS digits or an exponent beyond +-MAX_EXPONENT.
     """
+    runs = re.findall(r"\d+", text.replace("_", "")) if len(text) > MAX_DIGITS else ()
+    if any(len(run) > MAX_DIGITS for run in runs):
+        raise ValueError(
+            f"bad endpoint literal {excerpt(text)}: a run of more than {MAX_DIGITS} digits"
+        )
     if "e" in text or "E" in text:
         exponent = text.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
         if exponent.isdecimal() and (

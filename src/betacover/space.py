@@ -20,7 +20,11 @@ from .intervals import TOP, IntervalValue, family_join, leq_bool
 
 @dataclass(frozen=True)
 class SoftMapping:
-    """Parameters with one interval-valued fuzzy set each, over one universe."""
+    """Parameters with one interval-valued fuzzy set each, over one universe.
+
+    ``joins`` is a read-only tuple: per object, in universe order, the join
+    of its grades over all parameters, computed once at construction.
+    """
 
     universe: Universe
     parameters: Tuple[str, ...]
@@ -41,6 +45,9 @@ class SoftMapping:
             if fs.universe != self.universe:
                 raise ValueError("all assigned sets must share the mapping's universe")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(parameters)})
+        object.__setattr__(
+            self, "joins", tuple(map(family_join, zip(*(fs.grades for fs in assignment))))
+        )
 
     @classmethod
     def from_dict(
@@ -63,8 +70,7 @@ class SoftMapping:
 
     def join_at(self, obj: str) -> IntervalValue:
         """Pointwise join over all parameters at one object."""
-        i = self.universe.index(obj)
-        return family_join(fs.at(i) for fs in self.assignment)
+        return self.joins[self.universe.index(obj)]
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,9 @@ def validate_beta_covering(mapping: SoftMapping, beta: IntervalValue) -> Coverin
     Returns a report, never raises: every violating object is listed with
     the join it actually attains.
     """
-    failures = []
-    for i, obj in enumerate(mapping.universe):
-        attained = family_join(fs.at(i) for fs in mapping.assignment)
-        if not leq_bool(beta, attained):
-            failures.append((obj, attained))
-    return CoveringReport(ok=not failures, failures=tuple(failures))
+    pairs = zip(mapping.universe.objects, mapping.joins)
+    failures = tuple((obj, attained) for obj, attained in pairs if not leq_bool(beta, attained))
+    return CoveringReport(ok=not failures, failures=failures)
 
 
 def is_full_covering(mapping: SoftMapping) -> bool:

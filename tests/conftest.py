@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from betacover import IVFuzzySet, IntervalValue, SoftMapping, SoftSpace, Universe
+from betacover import IVFuzzySet, IntervalValue, SoftMapping, SoftSpace, Universe, build_space
 
 
 def iv(text: str) -> IntervalValue:
@@ -96,3 +96,15 @@ endpoints = st.sampled_from(MIXED_DENOMINATORS).flatmap(
 def mixed_intervals(draw):
     lo, hi = sorted((draw(endpoints), draw(endpoints)))
     return IntervalValue(lo, hi)
+
+
+@st.composite
+def mixed_spaces(draw):
+    """Covering spaces whose grades and beta mix endpoint denominators."""
+    objects = draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=4,
+                            unique=True))
+    parameters = draw(st.lists(st.sampled_from(["e1", "e2", "e3"]), min_size=1, max_size=3,
+                               unique=True))
+    table = {p: {o: draw(mixed_intervals()) for o in objects} for p in parameters}
+    mapping = SoftMapping.from_dict(Universe(tuple(objects)), table)
+    return build_space(mapping, draw(mixed_intervals()), f"repair:{parameters[0]}")

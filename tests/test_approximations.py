@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacover import (
     CrispSubset,
@@ -21,12 +23,14 @@ from betacover import (
 from betacover.generate import sample_crisp_subset, sample_fuzzy_set
 from betacover.oracle import (
     oracle_crisp_lower,
+    oracle_crisp_tables,
     oracle_crisp_upper,
     oracle_fuzzy_lower,
+    oracle_fuzzy_tables,
     oracle_fuzzy_upper,
 )
 
-from conftest import fuzzy, iv
+from conftest import fuzzy, iv, mixed_intervals, mixed_spaces
 
 
 @pytest.fixture
@@ -178,6 +182,24 @@ class TestAgainstOracle:
                 assert fuzzy_upper(space, kind, fx, ns) == oracle_fuzzy_upper(space, kind, fx)
                 assert crisp_lower(space, kind, cx, ns) == oracle_crisp_lower(space, kind, cx)
                 assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(space, kind, cx)
+
+    @settings(max_examples=100, deadline=1000)
+    @given(mixed_spaces(), st.data())
+    def test_mixed_denominators_match_definition_literal_path(self, space, data):
+        u = space.universe
+        fx = IVFuzzySet(u, tuple(data.draw(mixed_intervals()) for _ in u))
+        cx = CrispSubset.of(u, data.draw(st.sets(st.sampled_from(u.objects))))
+        ns = NeighborhoodSystem(space)
+        fuzzy_tables, crisp_tables = oracle_fuzzy_tables(space), oracle_crisp_tables(space)
+        for kind in (1, 2, 3, 4):
+            assert fuzzy_lower(space, kind, fx, ns) == oracle_fuzzy_lower(
+                space, kind, fx, fuzzy_tables)
+            assert fuzzy_upper(space, kind, fx, ns) == oracle_fuzzy_upper(
+                space, kind, fx, fuzzy_tables)
+            assert crisp_lower(space, kind, cx, ns) == oracle_crisp_lower(
+                space, kind, cx, crisp_tables)
+            assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(
+                space, kind, cx, crisp_tables)
 
 
 class TestApproximatePair:

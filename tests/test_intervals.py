@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from betacover import (
     meet,
     relation,
 )
-from betacover.intervals import MAX_EXPONENT, format_endpoint, parse_endpoint
+from betacover.intervals import MAX_DIGITS, MAX_EXPONENT, format_endpoint, parse_endpoint
 
 from conftest import intervals, iv, mixed_intervals
 
@@ -83,6 +84,24 @@ class TestEndpointText:
             with pytest.raises(ValueError, match="exponent"):
                 parse_endpoint(text)
         assert time.perf_counter() - start < 1
+
+    def test_runs_of_digits_up_to_the_cap_parse(self):
+        assert parse_endpoint("0." + "0" * (MAX_DIGITS - 1) + "1") == Fraction(1, 10**MAX_DIGITS)
+        # the "_" makes the run MAX_DIGITS + 1 characters long, but not digits
+        assert parse_endpoint("1/1_" + "0" * (MAX_DIGITS - 1)) == Fraction(1, 10**(MAX_DIGITS - 1))
+
+    def test_digit_runs_past_the_cap_are_rejected_without_the_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for text in ("0." + "1" * 200_000, "1/" + "1" * 200_000):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits") as info:
+                    parse_endpoint(text)
+                assert time.perf_counter() - start < 1
+                assert len(str(info.value)) <= 300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestOrder:

@@ -10,10 +10,8 @@ from betacover import (
     DocumentError,
     IncompleteTableError,
     IVFuzzySet,
-    SoftMapping,
     SpaceSyntaxError,
     Universe,
-    build_space,
     parse_set,
     parse_space,
     serialize_set,
@@ -24,7 +22,7 @@ from betacover import cli
 from betacover.cli import run_cli
 from betacover.serialize import parse_set_doc, parse_space_csv, parse_space_doc, space_to_doc
 
-from conftest import fuzzy, iv, mixed_intervals
+from conftest import fuzzy, iv, mixed_intervals, mixed_spaces
 
 SPACE_JSON = """{
   "universe": ["x", "y", "z"],
@@ -186,6 +184,19 @@ LONG_LITERAL_DOCUMENTS = {
     "zero-padded-exponent": _space_with(beta="[1e-" + "0" * 5000 + "5,1]"),
     "long-decimal": _space_with(beta="[0." + "1" * 5000 + ",1]"),
     "huge-integer": '{"universe": ' + "1" * 5000 + "}",
+    "long-parameter-bad-cell": _space_with(
+        parameters=["p" * 100_000],
+        membership={"p" * 100_000: {"x": "[0.6,0.7]", "y": "[0.9,0.1]", "z": "[1,1]"}},
+    ),
+    "long-parameter-missing-cell": _space_with(
+        parameters=["p" * 100_000],
+        membership={"p" * 100_000: {"x": "[0.6,0.7]", "y": "[1,1]"}},
+    ),
+    "long-object-bad-cell": _space_with(
+        universe=["o" * 100_000],
+        parameters=["e1"],
+        membership={"e1": {"o" * 100_000: "[1,0]"}},
+    ),
 }
 
 
@@ -200,18 +211,26 @@ def test_long_literal_errors_are_bounded(name, tmp_path, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+LONG_NAME = "o" * 100_000
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: parse_space_csv(f'object,{LONG_NAME}\nx,"[1,0]"\n'),
+        lambda: parse_set_doc(
+            {"mode": "fuzzy", "grades": {LONG_NAME: "[1,0]"}}, Universe((LONG_NAME,))
+        ),
+    ],
+    ids=["csv-column", "set-grades"],
+)
+def test_long_names_in_error_locations_are_cut(parse):
+    with pytest.raises(SpaceSyntaxError) as info:
+        parse()
+    assert len(str(info.value)) <= 300
+
+
 _NAMES = st.sampled_from(["x", "y", "z", "w"])
-
-
-@st.composite
-def mixed_spaces(draw):
-    """Covering spaces whose grades and beta mix endpoint denominators."""
-    objects = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
-    parameters = draw(st.lists(st.sampled_from(["e1", "e2", "e3"]), min_size=1, max_size=3,
-                               unique=True))
-    table = {p: {o: draw(mixed_intervals()) for o in objects} for p in parameters}
-    mapping = SoftMapping.from_dict(Universe(tuple(objects)), table)
-    return build_space(mapping, draw(mixed_intervals()), f"repair:{parameters[0]}")
 
 
 class TestRoundTripProperties:

@@ -4,6 +4,11 @@ Each module under ``src/betacover`` is read with ``ast``.  A module may not
 import a ``_``-prefixed name from another betacover module, nor read a
 ``_``-prefixed attribute of one it imported.  Dunder names such as
 ``__version__`` are public.
+
+Nor may a module read an interval's endpoints (an ``.lo`` or ``.hi``
+attribute), so that how endpoints are stored and compared is decided in
+``intervals.py`` alone.  ``generate.py`` is exempt: its grid samplers and
+``snap_candidates`` work on the endpoint grid.
 """
 
 import ast
@@ -85,3 +90,31 @@ def test_the_guard_sees_both_forms(tmp_path):
         "nb._selected",
         "betacover.space._x",
     ]
+
+
+ENDPOINT_READERS = {"intervals.py", "generate.py"}
+
+
+def endpoint_reads(path: Path) -> list:
+    """(line, attribute) for each ``.lo`` or ``.hi`` the module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("lo", "hi")
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in ENDPOINT_READERS],
+    ids=[p.name for p in MODULES if p.name not in ENDPOINT_READERS],
+)
+def test_endpoints_are_read_only_by_the_interval_layer(path):
+    assert endpoint_reads(path) == []
+
+
+def test_the_endpoint_guard_sees_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("a = g.lo\nb = [x.hi for x in xs]\nc = g.low\n")
+    assert endpoint_reads(sample) == [(1, "lo"), (2, "hi")]

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from betacover import (
@@ -54,6 +56,12 @@ class TestSoftMapping:
 
     def test_join_at(self):
         assert mapping(GOOD).join_at("z") == iv("[0.7,0.8]")
+
+    def test_joins_hold_every_object_and_are_read_only(self):
+        m = mapping(GAP)
+        assert m.joins == (iv("[0.6,0.9]"), iv("[0.5,0.6]"), iv("[0.5,0.6]"))
+        with pytest.raises(FrozenInstanceError):
+            m.joins = ()
 
     def test_mixed_universes_rejected(self):
         other = IVFuzzySet.top(Universe(("a",)))
