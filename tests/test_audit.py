@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from conftest import iv, make_space
 
 from betacover import (
     GenConfig,
@@ -19,6 +22,7 @@ from betacover.audit import (
     PASS,
     REGISTRY,
     SKIP,
+    TrialContext,
     _pass,
     _register,
     inputs_from_doc,
@@ -102,6 +106,50 @@ class TestCheck:
     def test_witness_found_on_gap_space(self, gap_space):
         inputs = make_inputs(gap_space)
         assert check("W-UNION-STRICT", gap_space, inputs).outcome == PASS
+
+
+# Stand-in neighborhood systems over x, y, z with beta [0.5,0.5], each
+# broken so that the named law fails: I and M reach beta, O does not.
+I, M, O = iv("[1,1]"), iv("[0.6,0.6]"), iv("[0,0]")
+FULL = frozenset({0, 1, 2})
+TOP_ROWS = ((I, I, I),) * 3
+BROKEN_SYSTEMS = {
+    # id: (fuzzy matrix, crisp index sets, the objects the failure names)
+    "N-REFL": (((I, I, I), (I, O, I), (I, I, I)), (FULL,) * 3, {"object": "y"}),
+    "N-TRANS": (((I, I, O), (I, I, I), (I, I, I)), (FULL,) * 3, {"x": "x", "y": "y", "z": "z"}),
+    # below the matrix the real space has at beta_low = beta, which is all [1,1]
+    "N-MONO": (((I, I, I), (I, I, O), (I, I, I)), (FULL,) * 3, {"x": "y", "y": "z"}),
+    "N-CONTAIN": (((I, I, M), (I, I, I), (I, I, I)), (FULL,) * 3, {"x": "x", "y": "y"}),
+    "N-EQ": (((I, I, I), (O, I, I), (O, I, M)), (FULL,) * 3, {"x": "y", "y": "z"}),
+    "CN-REFL": (TOP_ROWS, (FULL, frozenset({0, 2}), FULL), {"object": "y"}),
+    "CN-MEMB": (TOP_ROWS, (frozenset({0, 1}), FULL, FULL), {"x": "x", "y": "y"}),
+    "CN-TRANS": (
+        TOP_ROWS,
+        (frozenset({0}), frozenset({1, 2}), frozenset({0, 2})),
+        {"x": "y", "y": "z"},
+    ),
+    "CN-EQ": (((I, I, I), (I, I, I), (I, I, M)), (FULL,) * 3, {"x": "x", "y": "z"}),
+}
+
+
+class TestEveryNeighborhoodLawCanFail:
+    @pytest.mark.parametrize("theorem", sorted(BROKEN_SYSTEMS))
+    def test_broken_system_fails_and_names_its_objects(self, theorem, xyz):
+        matrix, crisp, names = BROKEN_SYSTEMS[theorem]
+        space = make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
+        stand_in = SimpleNamespace(
+            space=space, matrix=matrix, crisp_sets=crisp, complementary_crisp_sets=crisp
+        )
+        inputs = replace(make_inputs(space), beta_low=space.beta)
+        result = REGISTRY[theorem].checker(TrialContext(stand_in, inputs))
+        assert result.outcome == FAIL
+        assert {k: result.detail[k] for k in names} == names
+
+    def test_the_real_system_passes_every_law(self, xyz):
+        space = make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
+        inputs = replace(make_inputs(space), beta_low=space.beta)
+        for theorem in BROKEN_SYSTEMS:
+            assert check(theorem, space, inputs).outcome == PASS
 
 
 class TestRunAudit:
