@@ -177,14 +177,6 @@ class TrialContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    @property
-    def top(self) -> IVFuzzySet:
-        return self.cached("top", lambda: IVFuzzySet.top(self.space.universe))
-
-    @property
-    def bottom(self) -> IVFuzzySet:
-        return self.cached("bottom", lambda: IVFuzzySet.bottom(self.space.universe))
-
 
 Checker = Callable[[TrialContext], CheckResult]
 
@@ -249,116 +241,95 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
     )
 
 
-# -- fuzzy neighborhood laws -------------------------------------------------
+# -- neighborhood laws --------------------------------------------------------
+
+# The paper proves reflexivity, transitivity and containment for the fuzzy
+# beta-neighborhoods and again for their beta-cuts, the crisp ones.  Each law
+# is written once against a reading: a pair of tests on object indices, "y is
+# in x's neighborhood" and "y's neighborhood is inside x's".
 
 
-@_law("N-REFL", "beta <= N_x(x) for every x")
-def _check_nrefl(ctx: TrialContext) -> CheckResult:
+def _grades(ctx: TrialContext):
+    """The fuzzy reading: beta <= N_x(y); N_y below N_x entry by entry."""
     n, beta = ctx.ns.matrix, ctx.space.beta
-    for i, obj in enumerate(ctx.space.universe.objects):
-        if not leq_bool(beta, n[i][i]):
-            return _fail(object=obj, grade=n[i][i])
-    return _pass()
+    return (
+        lambda x, y: leq_bool(beta, n[x][y]),
+        lambda y, x: all(map(leq_bool, n[y], n[x])),
+    )
 
 
-@_law("N-TRANS", "beta <= N_x(y) and beta <= N_y(z) imply beta <= N_x(z)")
-def _check_ntrans(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.ns.matrix, ctx.space.beta
+def _cuts(ctx: TrialContext):
+    """The crisp reading: y in crisp(x); crisp(y) a subset of crisp(x)."""
+    crisp = ctx.ns.crisp_sets
+    return (lambda x, y: y in crisp[x]), (lambda y, x: crisp[y] <= crisp[x])
+
+
+def _nowhere(ctx: TrialContext, names: Sequence[str], fails: Callable[..., bool]) -> CheckResult:
+    """Pass, or fail naming the first index tuple, in product order, where ``fails`` holds."""
     u = ctx.space.universe.objects
-    size = len(u)
-    for i in range(size):
-        for j in range(size):
-            if not leq_bool(beta, n[i][j]):
-                continue
-            for k in range(size):
-                if leq_bool(beta, n[j][k]) and not leq_bool(beta, n[i][k]):
-                    return _fail(x=u[i], y=u[j], z=u[k], grade=n[i][k])
+    for idx in itertools.product(range(len(u)), repeat=len(names)):
+        if fails(*idx):
+            return _fail(**{name: u[i] for name, i in zip(names, idx)})
     return _pass()
 
 
-@_law("N-MONO", "beta1 <= beta2 implies N^beta1_x is a fuzzy subset of N^beta2_x")
+def _law_refl(reading, ctx: TrialContext) -> CheckResult:
+    member, _ = reading(ctx)
+    return _nowhere(ctx, ("object",), lambda x: not member(x, x))
+
+
+def _law_trans(reading, ctx: TrialContext) -> CheckResult:
+    member, _ = reading(ctx)
+    return _nowhere(
+        ctx, ("x", "y", "z"), lambda x, y, z: member(x, y) and member(y, z) and not member(x, z)
+    )
+
+
+def _law_contain(reading, ctx: TrialContext) -> CheckResult:
+    member, inside = reading(ctx)
+    return _nowhere(ctx, ("x", "y"), lambda x, y: member(x, y) != inside(y, x))
+
+
 def _check_nmono(ctx: TrialContext) -> CheckResult:
     low = ctx.inputs.beta_low
     if not leq_bool(low, ctx.space.beta):
         return _skip("beta_low is not below beta")
     n_hi, n_lo = ctx.ns.matrix, fuzzy_matrix(ctx.space.mapping, low)
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if not leq_bool(n_lo[i][j], n_hi[i][j]):
-                return _fail(x=u[i], y=u[j], low_beta=low, low=n_lo[i][j], high=n_hi[i][j])
-    return _pass()
+    return _nowhere(ctx, ("x", "y"), lambda x, y: not leq_bool(n_lo[x][y], n_hi[x][y]))
 
 
-@_law("N-CONTAIN", "beta <= N_x(y) iff N_y is a fuzzy subset of N_x")
-def _check_ncontain(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.ns.matrix, ctx.space.beta
-    u = ctx.space.universe.objects
-    size = len(u)
-    for i in range(size):
-        for j in range(size):
-            member = leq_bool(beta, n[i][j])
-            contained = all(leq_bool(n[j][k], n[i][k]) for k in range(size))
-            if member != contained:
-                return _fail(x=u[i], y=u[j], member=member, contained=contained)
-    return _pass()
-
-
-@_law("N-EQ", "beta <= N_x(y) and beta <= N_y(x) iff N_x = N_y")
 def _check_neq(ctx: TrialContext) -> CheckResult:
-    n, beta = ctx.ns.matrix, ctx.space.beta
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            mutual = leq_bool(beta, n[i][j]) and leq_bool(beta, n[j][i])
-            if mutual != (n[i] == n[j]):
-                return _fail(x=u[i], y=u[j], mutual=mutual, equal=n[i] == n[j])
-    return _pass()
+    member, _ = _grades(ctx)
+    n = ctx.ns.matrix
+    return _nowhere(
+        ctx, ("x", "y"), lambda x, y: (member(x, y) and member(y, x)) != (n[x] == n[y])
+    )
 
 
-# -- crisp neighborhood laws -------------------------------------------------
-
-
-@_law("CN-REFL", "x belongs to its own crisp neighborhood")
-def _check_cnrefl(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.ns.crisp_sets
-    for i, obj in enumerate(ctx.space.universe.objects):
-        if i not in crisp[i]:
-            return _fail(object=obj)
-    return _pass()
-
-
-@_law("CN-MEMB", "y in crisp(x) iff crisp(y) is a subset of crisp(x)")
-def _check_cnmemb(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.ns.crisp_sets
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if (j in crisp[i]) != (crisp[j] <= crisp[i]):
-                return _fail(x=u[i], y=u[j])
-    return _pass()
-
-
-@_law("CN-TRANS", "crisp neighborhood membership is transitive")
-def _check_cntrans(ctx: TrialContext) -> CheckResult:
-    crisp = ctx.ns.crisp_sets
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in crisp[i]:
-            if not crisp[j] <= crisp[i]:
-                return _fail(x=u[i], y=u[j])
-    return _pass()
-
-
-@_law("CN-EQ", "crisp neighborhoods equal iff fuzzy neighborhoods equal")
 def _check_cneq(ctx: TrialContext) -> CheckResult:
     crisp, n = ctx.ns.crisp_sets, ctx.ns.matrix
-    u = ctx.space.universe.objects
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if (crisp[i] == crisp[j]) != (n[i] == n[j]):
-                return _fail(x=u[i], y=u[j])
-    return _pass()
+    return _nowhere(ctx, ("x", "y"), lambda x, y: (crisp[x] == crisp[y]) != (n[x] == n[y]))
+
+
+_register("N-REFL", "beta <= N_x(x) for every x", partial(_law_refl, _grades))
+_register(
+    "N-TRANS",
+    "beta <= N_x(y) and beta <= N_y(z) imply beta <= N_x(z)",
+    partial(_law_trans, _grades),
+)
+_register(
+    "N-MONO", "beta1 <= beta2 implies N^beta1_x is a fuzzy subset of N^beta2_x", _check_nmono
+)
+_register(
+    "N-CONTAIN", "beta <= N_x(y) iff N_y is a fuzzy subset of N_x", partial(_law_contain, _grades)
+)
+_register("N-EQ", "beta <= N_x(y) and beta <= N_y(x) iff N_x = N_y", _check_neq)
+_register("CN-REFL", "x belongs to its own crisp neighborhood", partial(_law_refl, _cuts))
+_register(
+    "CN-MEMB", "y in crisp(x) iff crisp(y) is a subset of crisp(x)", partial(_law_contain, _cuts)
+)
+_register("CN-TRANS", "crisp neighborhood membership is transitive", partial(_law_trans, _cuts))
+_register("CN-EQ", "crisp neighborhoods equal iff fuzzy neighborhoods equal", _check_cneq)
 
 
 # How a family of objects combines: its crisp neighborhoods by the set
@@ -453,15 +424,21 @@ class _Mode:
     key: str  # detail key of the target in a one-target statement
     doc: Callable[[Target], object]  # detail form of a target
     bounded: Callable[[TrialContext], Optional[Target]]  # target of L(X) in X in U(X), or None
+    full: Callable[[Universe], Target]
+    empty: Callable[[Universe], Target]
 
 
 def _members(target: CrispSubset) -> List[str]:
     return sorted(target.members)
 
 
-_FUZZY = _Mode("fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", set_to_doc, _hypothesis_target)
+_FUZZY = _Mode(
+    "fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", set_to_doc, _hypothesis_target,
+    IVFuzzySet.top, IVFuzzySet.bottom,
+)
 _CRISP = _Mode(
-    "crisp", "cl", "cu", "crisp_x", "crisp_y", "x", _members, operator.attrgetter("inputs.crisp_x")
+    "crisp", "cl", "cu", "crisp_x", "crisp_y", "x", _members, operator.attrgetter("inputs.crisp_x"),
+    CrispSubset.full, CrispSubset.empty,
 )
 
 _UNBOUNDED = "boundedness hypothesis infeasible or unsatisfied"
@@ -483,14 +460,14 @@ def _chain(*sets) -> bool:
 # the registry holds it with the mode and kind bound.
 
 
-def _check_a_p1(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
+def _law_bounds(
+    fixed: Sequence[Tuple[str, str]], mode: _Mode, kind: Kind, ctx: TrialContext
+) -> CheckResult:
+    """In each ``(operator, set)`` pair the operator maps the full or empty set to itself."""
+    u = ctx.space.universe
     lower, upper, _, _ = _bind(ctx, mode, kind)
-    ok = lower(ctx.top) == ctx.top and upper(ctx.bottom) == ctx.bottom
-    return _verdict(
-        ok,
-        lower_of_top=set_to_doc(lower(ctx.top))["grades"],
-        upper_of_bottom=set_to_doc(upper(ctx.bottom))["grades"],
-    )
+    ops, sets = {"lower": lower, "upper": upper}, {"full": mode.full(u), "empty": mode.empty(u)}
+    return _verdict(all(ops[op](sets[s]) == sets[s] for op, s in fixed))
 
 
 def _law_dual(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -555,7 +532,10 @@ def _law_nested_distributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> Chec
 
 
 _A_PROPS = {
-    1: ("lower of the full set is full; upper of the empty set is empty", _check_a_p1),
+    1: (
+        "lower of the full set is full; upper of the empty set is empty",
+        partial(_law_bounds, (("lower", "full"), ("upper", "empty"))),
+    ),
     2: ("lower and upper are dual under complement", _law_dual),
     3: ("lower is a meet morphism; upper is a join morphism", _law_morphism),
     4: ("lower and upper are monotone under fuzzy inclusion", _law_monotone),
@@ -577,17 +557,15 @@ for _kind in Kind:
 # -- crisp approximation operator properties ---------------------------------
 
 
-def _check_ca_bounds(side: str, mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    """The lower or upper operator maps the empty and the full set to themselves."""
-    op = partial(getattr(ctx, getattr(mode, side)), kind)
-    u = ctx.space.universe
-    empty, full = CrispSubset.empty(u), CrispSubset.full(u)
-    return _verdict(op(empty) == empty and op(full) == full)
-
-
 _CA_PROPS = {
-    1: ("lower preserves the empty and full sets", partial(_check_ca_bounds, "lower")),
-    2: ("upper preserves the empty and full sets", partial(_check_ca_bounds, "upper")),
+    1: (
+        "lower preserves the empty and full sets",
+        partial(_law_bounds, (("lower", "empty"), ("lower", "full"))),
+    ),
+    2: (
+        "upper preserves the empty and full sets",
+        partial(_law_bounds, (("upper", "empty"), ("upper", "full"))),
+    ),
     3: ("lower and upper are monotone", _law_monotone),
     4: ("lower sub-distributes over union; upper over intersection", _law_subdistributive),
     5: ("lower is an intersection morphism; upper is a union morphism", _law_morphism),
