@@ -2,6 +2,8 @@
 
 # Characters of a document's literal that an error message quotes.
 EXCERPT_CHARS = 40
+# Failing objects a covering error names before it counts the rest.
+_NAMED_FAILURES = 5
 
 
 def excerpt(value) -> str:
@@ -14,6 +16,11 @@ def excerpt(value) -> str:
     if len(text) <= EXCERPT_CHARS:
         return repr(value)
     return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
+
+
+def cut_name(name: str) -> str:
+    """A parameter or object name as an error message shows it: whole if short."""
+    return name if len(name) <= EXCERPT_CHARS else excerpt(name)
 
 
 class BetacoverError(Exception):
@@ -37,11 +44,21 @@ class UnknownParameterError(BetacoverError):
 
 
 class NotACoveringError(BetacoverError):
-    """The mapping fails the beta-covering condition; ``report`` lists where."""
+    """The mapping fails the beta-covering condition; ``report`` lists where.
 
-    def __init__(self, message, report):
-        super().__init__(message)
+    The message is built only when shown, and names the first few objects.
+    """
+
+    def __init__(self, report):
+        super().__init__(report)
         self.report = report
+
+    def __str__(self):
+        failures = self.report.failures
+        shown = ", ".join(f"{cut_name(o)}:{j}" for o, j in failures[:_NAMED_FAILURES])
+        more = len(failures) - _NAMED_FAILURES
+        tail = f", and {more} more" if more > 0 else ""
+        return f"beta-covering condition fails at {shown}{tail}"
 
 
 class DocumentError(BetacoverError):

@@ -12,7 +12,7 @@ import io
 import json
 from typing import Tuple, Union
 
-from .errors import EXCERPT_CHARS, IncompleteTableError, SpaceSyntaxError, excerpt
+from .errors import IncompleteTableError, SpaceSyntaxError, cut_name, excerpt
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .intervals import IntervalValue
 from .space import SoftMapping, SoftSpace, build_space
@@ -51,11 +51,6 @@ def _object(value, location: str) -> dict:
     if not isinstance(value, dict):
         raise SpaceSyntaxError("expected a JSON object", location)
     return value
-
-
-def _name(name: str) -> str:
-    """A parameter or object name as an error location shows it: whole if short."""
-    return name if len(name) <= EXCERPT_CHARS else excerpt(name)
 
 
 def _parse_interval(text, location: str) -> IntervalValue:
@@ -113,18 +108,18 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     for p in parameters:
         if p not in membership:
             raise IncompleteTableError(p, "*")
-        cells = _object(membership[p], f"membership.{_name(p)}")
+        cells = _object(membership[p], f"membership.{cut_name(p)}")
         extra_objs = set(cells) - set(universe.objects)
         if extra_objs:
             raise SpaceSyntaxError(
                 f"membership cells for unknown objects {excerpt(sorted(extra_objs))}",
-                f"membership.{_name(p)}",
+                f"membership.{cut_name(p)}",
             )
         row = {}
         for o in universe.objects:
             if o not in cells:
                 raise IncompleteTableError(p, o)
-            row[o] = _parse_interval(cells[o], f"membership.{_name(p)}.{_name(o)}")
+            row[o] = _parse_interval(cells[o], f"membership.{cut_name(p)}.{cut_name(o)}")
         table[p] = row
     mapping = SoftMapping.from_dict(universe, table)
     beta = _parse_interval(doc["beta"], "beta")
@@ -166,7 +161,7 @@ def parse_space_csv(text: str) -> Tuple[SoftMapping, None]:
         obj = row[0]
         objects.append(obj)
         for p, cell in zip(parameters, row[1:]):
-            cells[p][obj] = _parse_interval(cell, f"row {lineno}, column {_name(p)}")
+            cells[p][obj] = _parse_interval(cell, f"row {lineno}, column {cut_name(p)}")
     try:
         universe = Universe(tuple(objects))
     except ValueError as exc:
@@ -229,7 +224,7 @@ def parse_set_doc(doc: dict, universe: Universe):
             raise SpaceSyntaxError("grade keys must match the universe exactly", "grades")
         return IVFuzzySet.from_dict(
             universe,
-            {o: _parse_interval(grades[o], f"grades.{_name(o)}") for o in universe.objects},
+            {o: _parse_interval(grades[o], f"grades.{cut_name(o)}") for o in universe.objects},
         )
     if mode == "crisp":
         if set(doc) != {"mode", "members"}:

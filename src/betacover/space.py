@@ -110,10 +110,7 @@ class SoftSpace:
     def __post_init__(self):
         report = validate_beta_covering(self.mapping, self.beta)
         if not report.ok:
-            bad = ", ".join(f"{o}:{j}" for o, j in report.failures)
-            raise NotACoveringError(
-                f"beta-covering condition fails at {bad}", report=report
-            )
+            raise NotACoveringError(report)
 
     @property
     def universe(self) -> Universe:

@@ -197,6 +197,18 @@ LONG_LITERAL_DOCUMENTS = {
         parameters=["e1"],
         membership={"e1": {"o" * 100_000: "[1,0]"}},
     ),
+    "long-object-not-covering": _space_with(
+        universe=["o" * 100_000],
+        parameters=["e1"],
+        beta="[0.5,0.5]",
+        membership={"e1": {"o" * 100_000: "[0,0]"}},
+    ),
+    "many-objects-not-covering": _space_with(
+        universe=[f"x{i}" for i in range(2000)],
+        parameters=["e1"],
+        beta="[0.5,0.5]",
+        membership={"e1": {f"x{i}": "[0,0]" for i in range(2000)}},
+    ),
 }
 
 
@@ -204,7 +216,8 @@ LONG_LITERAL_DOCUMENTS = {
 def test_long_literal_errors_are_bounded(name, tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text(LONG_LITERAL_DOCUMENTS[name])
-    assert run_cli(["validate", str(path)]) == 2
+    # neighborhood, not validate: validate reports a failed covering on stdout
+    assert run_cli(["neighborhood", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert max(len(line) for line in err.splitlines()) <= 300
