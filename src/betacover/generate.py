@@ -10,6 +10,7 @@ keeps exhaustive cross-checks tractable and every comparison exact.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,25 +69,16 @@ def sample_crisp_subset(universe: Universe, rng: random.Random) -> CrispSubset:
     return CrispSubset.of(universe, [o for o in universe if rng.random() < 0.5])
 
 
+def _grid_point(rng: random.Random, low: Fraction, high: Fraction, d: int) -> Fraction:
+    """A random point of the 1/d grid in [low, high], or ``high`` when none lies there."""
+    first, last = math.ceil(low * d), math.floor(high * d)
+    return Fraction(rng.randrange(first, last + 1), d) if first <= last else high
+
+
 def sample_beta_below(beta: IntervalValue, rng: random.Random, d: int) -> IntervalValue:
     """A grid interval <= beta in the product order (may equal beta)."""
-    lo = Fraction(rng.randrange(_floor_to_grid(beta.lo, d) + 1), d)
-    # hi must satisfy lo <= hi <= beta.hi
-    first = _ceil_to_grid(lo, d)
-    last = _floor_to_grid(beta.hi, d)
-    if first > last:
-        hi = beta.hi if beta.hi >= lo else lo
-    else:
-        hi = Fraction(rng.randrange(first, last + 1), d)
-    return IntervalValue(lo, hi)
-
-
-def _ceil_to_grid(v: Fraction, d: int) -> int:
-    return -((-v.numerator * d) // v.denominator) if v else 0
-
-
-def _floor_to_grid(v: Fraction, d: int) -> int:
-    return (v.numerator * d) // v.denominator
+    lo = _grid_point(rng, Fraction(0), beta.lo, d)
+    return IntervalValue(lo, _grid_point(rng, lo, beta.hi, d))
 
 
 def sample_hypothesis_set(
@@ -105,19 +97,8 @@ def sample_hypothesis_set(
         diag = row[i]
         if diag.lo + diag.hi < 1:
             return None
-        lo_first = _ceil_to_grid(1 - diag.hi, d)
-        lo_last = _floor_to_grid(diag.lo, d)
-        if lo_first > lo_last:
-            x_lo = diag.lo
-        else:
-            x_lo = Fraction(rng.randrange(lo_first, lo_last + 1), d)
-        hi_floor = max(1 - diag.lo, x_lo)
-        hi_first = _ceil_to_grid(hi_floor, d)
-        hi_last = _floor_to_grid(diag.hi, d)
-        if hi_first > hi_last:
-            x_hi = diag.hi
-        else:
-            x_hi = Fraction(rng.randrange(hi_first, hi_last + 1), d)
+        x_lo = _grid_point(rng, 1 - diag.hi, diag.lo, d)
+        x_hi = _grid_point(rng, max(1 - diag.lo, x_lo), diag.hi, d)
         grades.append(IntervalValue(x_lo, x_hi))
     return IVFuzzySet(universe, tuple(grades))
 
