@@ -43,7 +43,7 @@ from .generate import (
     sample_interval,
     snap_candidates,
 )
-from .intervals import IntervalValue, family_join, family_meet, leq_bool
+from .intervals import IntervalValue, complement, family_join, family_meet, leq_bool
 from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
@@ -407,7 +407,7 @@ def _hypothesis_target(ctx: TrialContext) -> Optional[IVFuzzySet]:
         return None
     for i, g in enumerate(target.grades):
         diag = ctx.ns.matrix[i][i]
-        if not (leq_bool(diag.complement(), g) and leq_bool(g, diag)):
+        if not (leq_bool(complement(diag), g) and leq_bool(g, diag)):
             return None
     return target
 

@@ -94,9 +94,6 @@ class IVFuzzySet:
     def grade(self, obj: str) -> IntervalValue:
         return self.grades[self.universe.index(obj)]
 
-    def at(self, i: int) -> IntervalValue:
-        return self.grades[i]
-
     def intersect(self, other: "IVFuzzySet") -> "IVFuzzySet":
         _require_same_universe(self, other)
         return IVFuzzySet(

@@ -155,15 +155,6 @@ class IntervalValue:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def meet(self, other: "IntervalValue") -> "IntervalValue":
-        return meet(self, other)
-
-    def join(self, other: "IntervalValue") -> "IntervalValue":
-        return join(self, other)
-
-    def complement(self) -> "IntervalValue":
-        return complement(self)
-
     def text(self) -> str:
         return f"[{format_endpoint(self.lo)},{format_endpoint(self.hi)}]"
 

@@ -39,7 +39,7 @@ Matrix = Tuple[Tuple[IntervalValue, ...], ...]
 
 def _selected(mapping: SoftMapping, beta: IntervalValue, i: int) -> List[IVFuzzySet]:
     """The parameter sets whose grade at object index i dominates beta."""
-    return [fs for fs in mapping.assignment if leq_bool(beta, fs.at(i))]
+    return [fs for fs in mapping.assignment if leq_bool(beta, fs.grades[i])]
 
 
 def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Tuple
 
 from .errors import NotACoveringError, UnknownParameterError
 from .fuzzysets import IVFuzzySet, Universe
-from .intervals import TOP, IntervalValue, family_join, leq_bool
+from .intervals import TOP, IntervalValue, family_join, join, leq_bool
 
 
 @dataclass(frozen=True)
@@ -149,5 +149,5 @@ def build_space(mapping: SoftMapping, beta: IntervalValue, policy: str = "strict
     mapping.set_for(target)  # raises UnknownParameterError early
     table = mapping.table()
     for obj, _ in failures:
-        table[target][obj] = table[target][obj].join(beta)
+        table[target][obj] = join(table[target][obj], beta)
     return SoftSpace(SoftMapping.from_dict(mapping.universe, table), beta)

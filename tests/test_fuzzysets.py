@@ -50,7 +50,7 @@ class TestIVFuzzySet:
     def test_grade_lookup(self):
         f = fuzzy(U3, x="[0.1,0.2]", y="[0.3,0.4]", z="[0.5,0.6]")
         assert f.grade("y") == iv("[0.3,0.4]")
-        assert f.at(2) == iv("[0.5,0.6]")
+        assert f.grades[2] == iv("[0.5,0.6]")
 
     def test_pointwise_ops_worked_example(self):
         f = fuzzy(U3, x="[0.2,0.8]", y="[0.3,0.6]", z="[0,1]")

@@ -9,7 +9,7 @@ from betacover import (
     UnknownObjectError,
     crisp_of,
 )
-from betacover.intervals import leq_bool
+from betacover.intervals import join, leq_bool, meet
 from betacover.oracle import (
     oracle_complementary_crisp_neighborhood,
     oracle_complementary_fuzzy_neighborhood,
@@ -99,9 +99,9 @@ class TestMatrices:
         n, m = ns.kernel(1), ns.kernel(2)
         assert n == ns.matrix
         assert m == tuple(zip(*n))
-        meet = tuple(tuple(a.meet(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m))
-        join = tuple(tuple(a.join(b) for a, b in zip(r1, r2)) for r1, r2 in zip(n, m))
-        assert ns.kernel(3) == meet and ns.kernel(4) == join
+        met = tuple(tuple(map(meet, r1, r2)) for r1, r2 in zip(n, m))
+        joined = tuple(tuple(map(join, r1, r2)) for r1, r2 in zip(n, m))
+        assert ns.kernel(3) == met and ns.kernel(4) == joined
         for kind in Kind:
             assert ns.kernel(kind) is ns.kernel(kind.value)
 

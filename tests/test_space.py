@@ -13,7 +13,7 @@ from betacover import (
     is_full_covering,
     validate_beta_covering,
 )
-from betacover.intervals import leq_bool
+from betacover.intervals import join, leq_bool
 from betacover.space import parse_policy
 
 from conftest import iv
@@ -155,7 +155,7 @@ class TestPolicies:
         space = build_space(mapping(BAD), beta, "repair:e1")
         fixed = space.mapping.set_for("e1")
         original = mapping(BAD).set_for("e1")
-        assert fixed.grade("z") == original.grade("z").join(beta)
+        assert fixed.grade("z") == join(original.grade("z"), beta)
         assert fixed.grade("x") == original.grade("x")
         assert fixed.grade("y") == original.grade("y")
         assert space.mapping.set_for("e2") == mapping(BAD).set_for("e2")
