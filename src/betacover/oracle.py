@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping
 
+from .approximations import Kind
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import IntervalValue, complement, family_join, family_meet, join, leq_bool, meet
 from .neighborhoods import crisp_of
@@ -74,8 +75,6 @@ def oracle_crisp_tables(space: SoftSpace):
 
 
 def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
-    from .approximations import Kind
-
     kind = Kind.of(kind)
     n, m = tables if tables is not None else oracle_fuzzy_tables(space)
     grades: Dict[str, IntervalValue] = {}
@@ -96,8 +95,6 @@ def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) 
 
 
 def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
-    from .approximations import Kind
-
     kind = Kind.of(kind)
     n, m = tables if tables is not None else oracle_fuzzy_tables(space)
     grades: Dict[str, IntervalValue] = {}
@@ -118,8 +115,6 @@ def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) 
 
 
 def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
-    from .approximations import Kind
-
     kind = Kind.of(kind)
     sn, sm = tables if tables is not None else oracle_crisp_tables(space)
     members = set()
@@ -140,8 +135,6 @@ def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None)
 
 
 def oracle_crisp_upper(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
-    from .approximations import Kind
-
     kind = Kind.of(kind)
     sn, sm = tables if tables is not None else oracle_crisp_tables(space)
     members = set()

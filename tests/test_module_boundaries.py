@@ -9,6 +9,10 @@ Nor may a module read an interval's endpoints (an ``.lo`` or ``.hi``
 attribute), so that how endpoints are stored and compared is decided in
 ``intervals.py`` alone.  ``generate.py`` is exempt: its grid samplers and
 ``snap_candidates`` work on the endpoint grid.
+
+The oracle is the independent check on the fast path, so it takes only
+``Kind`` from ``approximations`` and only ``crisp_of`` from
+``neighborhoods``.
 """
 
 import ast
@@ -118,3 +122,48 @@ def test_the_endpoint_guard_sees_reads(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("a = g.lo\nb = [x.hi for x in xs]\nc = g.low\n")
     assert endpoint_reads(sample) == [(1, "lo"), (2, "hi")]
+
+
+# What the oracle may take from the fast path's modules.
+ORACLE_ALLOWED = {"betacover.approximations": {"Kind"}, "betacover.neighborhoods": {"crisp_of"}}
+
+
+def fast_path_imports(path: Path) -> list:
+    """(line, text) for each name the module takes from the fast path beyond ORACLE_ALLOWED."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _imported_module(node)
+            for alias in node.names:
+                module = f"{source}.{alias.name}" if source == "betacover" else source
+                if module in ORACLE_ALLOWED and alias.name not in ORACLE_ALLOWED[module]:
+                    found.append((node.lineno, f"from {source} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ORACLE_ALLOWED:
+                    found.append((node.lineno, f"import {alias.name}"))
+    return sorted(found)
+
+
+def test_the_oracle_takes_nothing_else_from_the_fast_path():
+    assert fast_path_imports(PACKAGE / "oracle.py") == []
+
+
+def test_the_oracle_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .approximations import Kind, fuzzy_lower\n"
+        "from .neighborhoods import NeighborhoodSystem, crisp_of\n"
+        "from . import approximations\n"
+        "import betacover.neighborhoods\n"
+        "def f():\n"
+        "    from betacover.approximations import crisp_upper\n"
+    )
+    assert [text for _, text in fast_path_imports(sample)] == [
+        "from betacover.approximations import fuzzy_lower",
+        "from betacover.neighborhoods import NeighborhoodSystem",
+        "from betacover import approximations",
+        "import betacover.neighborhoods",
+        "from betacover.approximations import crisp_upper",
+    ]
