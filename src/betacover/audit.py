@@ -424,7 +424,7 @@ class _Mode:
     key: str  # detail key of the target in a one-target statement
     doc: Callable[[Target], object]  # detail form of a target
     bounded: Callable[[TrialContext], Optional[Target]]  # target of L(X) in X in U(X), or None
-    full: Callable[[Universe], Target]
+    full: Callable[[Universe], Target]  # the full and the empty set of a universe
     empty: Callable[[Universe], Target]
 
 

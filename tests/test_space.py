@@ -113,24 +113,15 @@ class TestSoftSpace:
             SoftSpace(mapping(BAD), iv("[0.5,0.6]"))
         assert str(exc.value) == "beta-covering condition fails at z:[0.3,0.5]"
 
-    def test_covering_message_names_five_objects_then_counts_the_rest(self):
-        universe = Universe(tuple(f"x{i}" for i in range(8)) + ("o" * 100,))
+    def test_covering_message_cuts_long_names_and_counts_past_five(self):
+        universe = Universe(("o" * 100,) + tuple(f"x{i}" for i in range(8)))
         zeros = IVFuzzySet.constant(universe, iv("[0,0]"))
         with pytest.raises(NotACoveringError) as exc:
             SoftSpace(SoftMapping(universe, ("e1",), (zeros,)), iv("[0.5,0.5]"))
         assert len(exc.value.report.failures) == 9
         assert str(exc.value) == (
-            "beta-covering condition fails at "
-            "x0:[0,0], x1:[0,0], x2:[0,0], x3:[0,0], x4:[0,0], and 4 more"
-        )
-
-    def test_covering_message_cuts_long_names(self):
-        universe = Universe(("o" * 100,))
-        zeros = IVFuzzySet.constant(universe, iv("[0,0]"))
-        with pytest.raises(NotACoveringError) as exc:
-            SoftSpace(SoftMapping(universe, ("e1",), (zeros,)), iv("[0.5,0.5]"))
-        assert str(exc.value) == (
-            f"beta-covering condition fails at {'o' * 40!r}... (100 characters):[0,0]"
+            f"beta-covering condition fails at {'o' * 40!r}... (100 characters):[0,0], "
+            "x0:[0,0], x1:[0,0], x2:[0,0], x3:[0,0], and 4 more"
         )
 
     def test_accessors(self):
