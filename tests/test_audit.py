@@ -3,7 +3,6 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from conftest import iv, make_space
 
 from betacover import (
     GenConfig,
@@ -30,6 +29,8 @@ from betacover.audit import (
 )
 from betacover.serialize import parse_space_doc, space_to_doc
 from betacover.space import SoftSpace
+
+from conftest import iv, make_space
 
 
 def make_inputs(space, seed="t", grid=10):
@@ -133,10 +134,13 @@ BROKEN_SYSTEMS = {
 
 
 class TestEveryNeighborhoodLawCanFail:
+    @pytest.fixture
+    def space(self, xyz):
+        return make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
+
     @pytest.mark.parametrize("theorem", sorted(BROKEN_SYSTEMS))
-    def test_broken_system_fails_and_names_its_objects(self, theorem, xyz):
+    def test_broken_system_fails_and_names_its_objects(self, theorem, space):
         matrix, crisp, names = BROKEN_SYSTEMS[theorem]
-        space = make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
         stand_in = SimpleNamespace(
             space=space, matrix=matrix, crisp_sets=crisp, complementary_crisp_sets=crisp
         )
@@ -145,8 +149,7 @@ class TestEveryNeighborhoodLawCanFail:
         assert result.outcome == FAIL
         assert result.detail == names
 
-    def test_the_real_system_passes_every_law(self, xyz):
-        space = make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
+    def test_the_real_system_passes_every_law(self, space):
         inputs = replace(make_inputs(space), beta_low=space.beta)
         for theorem in BROKEN_SYSTEMS:
             assert check(theorem, space, inputs).outcome == PASS
