@@ -1,34 +1,32 @@
 """Four kinds of lower/upper approximation operators, fuzzy and crisp.
 
-Only the upper operators are computed, as folds of the interval and set
-layers.  The fuzzy upper operator gives each object the join over y of
-``kernel(y) meet X(y)``, the kernel being the fuzzy neighborhood N (kind
-1), its transpose M (kind 2), their meet (kind 3) or their join (kind 4).
-The crisp upper operator keeps the objects whose crisp neighborhood
-(kind 1), complementary neighborhood (kind 2), both (kind 3) or either
-(kind 4) meets the target.
+Only the upper operators are computed, on endpoint codes and bitmasks.
+The fuzzy upper operator gives each object the join over y of ``kernel(y)
+meet X(y)``, the kernel being N (kind 1), its transpose M (kind 2), N meet
+M (kind 3) or N join M (kind 4): ``max(map(min, row, X))`` on the low and
+the high codes of ``NeighborhoodSystem.kernel_codes``.  The crisp upper
+operator keeps the objects whose crisp neighborhood (kind 1),
+complementary neighborhood (kind 2), both (kind 3) or either (kind 4)
+meets the target.  A target with an endpoint the space's codes do not
+number (one on a finer grid, say) widens the codes for that call.
 
-Each lower operator is the literal dual of its upper operator,
-lower(X) = upper(X^c)^c, for both modes and all four kinds, through
-``IVFuzzySet.complement`` and ``CrispSubset.complement``.  In the kind-4
-fuzzy case this reads ``((N or M) and X)`` for the upper kernel, so the
-lower kernel is ``((N^c and M^c) or X)``: the reading under which
-lower4 = lower1 meet lower2 and upper4 = upper1 join upper2 hold, as the
-audit asserts.  The duality laws (A*-P2, CA*-P6) therefore hold here by
-construction; the definition-literal slow path in ``betacover.oracle``
-computes both operators independently and is the cross-check for the
-lower ones.
+Each lower operator is the literal dual lower(X) = upper(X^c)^c of its
+upper operator, on the target's codes or mask.  In the kind-4 fuzzy case
+the upper kernel reads ``((N or M) and X)``, so the lower kernel is
+``((N^c and M^c) or X)``: the reading under which lower4 = lower1 meet
+lower2 and upper4 = upper1 join upper2 hold, as the audit asserts.  The
+duality laws hold here by construction; ``betacover.oracle`` computes
+both operators from their definitions and is the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
-from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import family_join, meet
+from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .neighborhoods import NeighborhoodSystem
 from .space import SoftSpace
 
@@ -58,25 +56,32 @@ class ApproximationPair:
     definable: bool
 
 
-def _system(space: SoftSpace, system: Optional[NeighborhoodSystem]) -> NeighborhoodSystem:
-    if system is not None:
-        if system.space is not space and system.space != space:
-            raise ValueError("neighborhood system belongs to a different space")
-        return system
-    return NeighborhoodSystem(space)
-
-
-def _check_universe(space: SoftSpace, target: Target) -> None:
+def _prepare(space: SoftSpace, kind, target: Target, system) -> Tuple[Kind, NeighborhoodSystem]:
+    """The kind, and the space's neighborhood system, for a target over the space's universe."""
+    kind = Kind.of(kind)
     if target.universe != space.universe:
         raise UniverseMismatchError("target set is over a different universe")
+    if system is None:
+        return kind, NeighborhoodSystem(space)
+    if system.space is not space and system.space != space:
+        raise ValueError("neighborhood system belongs to a different space")
+    return kind, system
 
 
-def _fuzzy_upper(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-    """Per object: the join over y of (kernel(y) meet target(y))."""
-    grades = target.grades
-    return IVFuzzySet(
-        target.universe, tuple(family_join(map(meet, row, grades)) for row in ns.kernel(kind))
-    )
+def _fuzzy_codes(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet):
+    """The codes, the kind's kernel codes and the target's codes, widened if the target needs it."""
+    codes, kernel = ns.codes, ns.kernel_codes(kind)
+    try:
+        return codes, kernel, codes.encode(target.grades)
+    except KeyError:  # an endpoint the space's codes do not number
+        codes, remap = codes.widen(target.grades)
+        kernel = tuple(tuple(tuple(map(remap.__getitem__, row)) for row in half) for half in kernel)
+        return codes, kernel, codes.encode(target.grades)
+
+
+def _fuzzy_upper(kernel, target):
+    """Per object: the join over y of (kernel(y) meet target(y)), on low and high codes."""
+    return tuple(tuple(max(map(min, row, t)) for row in half) for half, t in zip(kernel, target))
 
 
 # How an object's two hits - its crisp neighborhood meets the target, its
@@ -89,15 +94,19 @@ _HITS = {
 }
 
 
-def _crisp_upper(ns: NeighborhoodSystem, kind: Kind, target: CrispSubset) -> CrispSubset:
-    """Objects whose crisp neighborhoods of the kind meet the target."""
-    u = target.universe
-    inside = frozenset(map(u.index, target.members))
+def _crisp_upper(ns: NeighborhoodSystem, kind: Kind, target: int) -> int:
+    """Bitmask of the objects whose crisp neighborhoods of the kind meet the target's mask."""
     hits = _HITS[kind]
-    return CrispSubset(u, frozenset(
-        o for o, n, m in zip(u.objects, ns.crisp_sets, ns.complementary_crisp_sets)
-        if hits(not inside.isdisjoint(n), not inside.isdisjoint(m))
-    ))
+    pairs = zip(ns.crisp_sets, ns.complementary_crisp_sets)
+    return sum(1 << i for i, (n, m) in enumerate(pairs) if hits(n & target, m & target))
+
+
+def _mask(target: CrispSubset) -> int:
+    return sum(1 << i for i in map(target.universe.index, target.members))
+
+
+def _subset(u: Universe, mask: int) -> CrispSubset:
+    return CrispSubset(u, frozenset(o for i, o in enumerate(u.objects) if mask >> i & 1))
 
 
 def fuzzy_lower(
@@ -107,9 +116,10 @@ def fuzzy_lower(
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    return _fuzzy_upper(_system(space, system), kind, target.complement()).complement()
+    kind, ns = _prepare(space, kind, target, system)
+    codes, kernel, x = _fuzzy_codes(ns, kind, target)
+    lower = codes.complement(*_fuzzy_upper(kernel, codes.complement(*x)))
+    return IVFuzzySet(target.universe, codes.decode(*lower))
 
 
 def fuzzy_upper(
@@ -119,9 +129,9 @@ def fuzzy_upper(
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
     """Per-object join over y of (kernel(y) and target(y))."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    return _fuzzy_upper(_system(space, system), kind, target)
+    kind, ns = _prepare(space, kind, target, system)
+    codes, kernel, x = _fuzzy_codes(ns, kind, target)
+    return IVFuzzySet(target.universe, codes.decode(*_fuzzy_upper(kernel, x)))
 
 
 def crisp_lower(
@@ -131,9 +141,9 @@ def crisp_lower(
     system: Optional[NeighborhoodSystem] = None,
 ) -> CrispSubset:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    return _crisp_upper(_system(space, system), kind, target.complement()).complement()
+    kind, ns = _prepare(space, kind, target, system)
+    full = (1 << len(target.universe)) - 1
+    return _subset(target.universe, full ^ _crisp_upper(ns, kind, full ^ _mask(target)))
 
 
 def crisp_upper(
@@ -143,9 +153,8 @@ def crisp_upper(
     system: Optional[NeighborhoodSystem] = None,
 ) -> CrispSubset:
     """Objects whose crisp neighborhoods of the kind meet the target."""
-    kind = Kind.of(kind)
-    _check_universe(space, target)
-    return _crisp_upper(_system(space, system), kind, target)
+    kind, ns = _prepare(space, kind, target, system)
+    return _subset(target.universe, _crisp_upper(ns, kind, _mask(target)))
 
 
 def approximate(
@@ -155,8 +164,7 @@ def approximate(
     system: Optional[NeighborhoodSystem] = None,
 ) -> ApproximationPair:
     """Lower/upper pair plus the definability verdict for either mode."""
-    kind = Kind.of(kind)
-    ns = _system(space, system)
+    kind, ns = _prepare(space, kind, target, system)
     if isinstance(target, IVFuzzySet):
         lower = fuzzy_lower(space, kind, target, ns)
         upper = fuzzy_upper(space, kind, target, ns)

@@ -24,7 +24,7 @@ import operator
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -258,10 +258,15 @@ def _grades(ctx: TrialContext):
     )
 
 
+def _within(small: int, large: int) -> bool:
+    """The set of one bitmask is a subset of the other's."""
+    return not small & ~large
+
+
 def _cuts(ctx: TrialContext):
-    """The crisp reading: y in crisp(x); crisp(y) a subset of crisp(x)."""
+    """The crisp reading: y in crisp(x); crisp(y) a subset of crisp(x), on bitmasks."""
     crisp = ctx.ns.crisp_sets
-    return (lambda x, y: y in crisp[x]), (lambda y, x: crisp[y] <= crisp[x])
+    return (lambda x, y: bool(crisp[x] >> y & 1)), (lambda y, x: _within(crisp[y], crisp[x]))
 
 
 def _nowhere(ctx: TrialContext, names: Sequence[str], fails: Callable[..., bool]) -> CheckResult:
@@ -332,26 +337,28 @@ _register("CN-TRANS", "crisp neighborhood membership is transitive", partial(_la
 _register("CN-EQ", "crisp neighborhoods equal iff fuzzy neighborhoods equal", _check_cneq)
 
 
-# How a family of objects combines: its crisp neighborhoods by the set
-# operation, its fuzzy rows pointwise by the interval one.
-_UNION = (frozenset.union, family_join)
-_MEET = (frozenset.intersection, family_meet)
+# How a family of objects combines: its crisp neighborhoods' bitmasks by
+# the set operation, its rows' endpoint codes pointwise by the interval one.
+_UNION = (operator.or_, max)
+_MEET = (operator.and_, min)
 
 
-def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[frozenset, frozenset]:
-    """The combined crisp neighborhoods of a family, and the cut of its combined rows."""
-    combine_sets, combine_grades = ops
-    rows, beta = ctx.ns.matrix, ctx.space.beta
-    lhs = combine_sets(*(ctx.ns.crisp_sets[i] for i in idx))
-    rhs = frozenset(
-        k
-        for k in range(len(rows))
-        if leq_bool(beta, combine_grades([rows[i][k] for i in idx]))
-    )
+def _bits(mask: int) -> List[int]:
+    """The indices of a bitmask's set bits, in increasing order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[int, int]:
+    """The combined crisp neighborhoods of a family, and the cut of its combined rows, as masks."""
+    combine_masks, combine_codes = ops
+    ns = ctx.ns
+    lhs = reduce(combine_masks, (ns.crisp_sets[i] for i in idx))
+    lows, highs = (zip(*(half[i] for i in idx)) for half in ns.kernel_codes(1))
+    rhs = ns.cut(map(combine_codes, lows), map(combine_codes, highs))
     return lhs, rhs
 
 
-def _pair_sides(ctx: TrialContext, ops) -> List[Tuple[int, int, frozenset, frozenset]]:
+def _pair_sides(ctx: TrialContext, ops) -> List[Tuple[int, int, int, int]]:
     """``(i, j, lhs, rhs)`` for every object pair in order, once per trial and ops."""
     pairs = itertools.product(range(len(ctx.space.universe)), repeat=2)
     return ctx.cached(
@@ -363,7 +370,7 @@ def _check_cn_pairs(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe.objects
     for i, j, lhs, rhs in _pair_sides(ctx, ops):
         if not holds(lhs, rhs):
-            return _fail(x=u[i], y=u[j], lhs=sorted(lhs), rhs=sorted(rhs))
+            return _fail(x=u[i], y=u[j], lhs=_bits(lhs), rhs=_bits(rhs))
     return _pass()
 
 
@@ -371,14 +378,14 @@ def _check_cn_family(ops, holds: Callable, ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe
     lhs, rhs = _lattice_sides(ctx, [u.index(o) for o in ctx.inputs.objects], ops)
     return _verdict(
-        holds(lhs, rhs), family=list(ctx.inputs.objects), lhs=sorted(lhs), rhs=sorted(rhs)
+        holds(lhs, rhs), family=list(ctx.inputs.objects), lhs=_bits(lhs), rhs=_bits(rhs)
     )
 
 
 _register(
     "CN-LATTICE-1",
     "crisp(x) union crisp(y) is contained in the cut of N_x join N_y",
-    partial(_check_cn_pairs, _UNION, operator.le),
+    partial(_check_cn_pairs, _UNION, _within),
 )
 _register(
     "CN-LATTICE-2",
@@ -388,7 +395,7 @@ _register(
 _register(
     "CN-LATTICE-3",
     "indexed union of crisp neighborhoods is contained in the cut of the joined rows",
-    partial(_check_cn_family, _UNION, operator.le),
+    partial(_check_cn_family, _UNION, _within),
 )
 _register(
     "CN-LATTICE-4",
@@ -661,8 +668,8 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
 def _check_w_union_strict(ctx: TrialContext) -> CheckResult:
     u = ctx.space.universe.objects
     for i, j, lhs, rhs in _pair_sides(ctx, _UNION):
-        if lhs < rhs:
-            gained = sorted(u[k] for k in rhs - lhs)
+        if lhs != rhs and _within(lhs, rhs):
+            gained = sorted(u[k] for k in _bits(rhs & ~lhs))
             return CheckResult(PASS, detail={"x": u[i], "y": u[j], "gained": str(gained)})
     return _skip("no strict instance in this space")
 

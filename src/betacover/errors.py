@@ -55,7 +55,9 @@ class NotACoveringError(BetacoverError):
 
     def __str__(self):
         failures = self.report.failures
-        shown = ", ".join(f"{cut_name(o)}:{j}" for o, j in failures[:_NAMED_FAILURES])
+        shown = ", ".join(
+            f"{cut_name(o)}:{cut_name(str(j))}" for o, j in failures[:_NAMED_FAILURES]
+        )
         more = len(failures) - _NAMED_FAILURES
         tail = f", and {more} more" if more > 0 else ""
         return f"beta-covering condition fails at {shown}{tail}"

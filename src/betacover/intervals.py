@@ -16,6 +16,12 @@ The meet, join or complement of valid intervals is valid, so the lattice
 operations build their results unchecked.  Endpoints are compared by
 cross-multiplying numerators and denominators, which gives Fraction's
 order without its per-compare ``numbers.Rational`` check.
+
+Meet, join, the order and the complement read only the order of
+endpoints, so ``Codes`` numbers the endpoints of a finite family (closed
+under ``1 - x``) and the neighborhood system and the operators work on
+those ints with ``min``, ``max`` and ``<=``, decoding to ``IntervalValue``
+only where a result is read.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import EmptyFamilyError, excerpt
 
@@ -215,7 +221,7 @@ _setattr = object.__setattr__
 def _unchecked(lo: Fraction, hi: Fraction) -> IntervalValue:
     """An IntervalValue whose endpoints are known to satisfy 0 <= lo <= hi <= 1.
 
-    Only the lattice operations below call this, on endpoints taken from
+    Only the lattice operations and ``Codes.decode`` call this, on endpoints of
     valid intervals; it skips ``__post_init__``.  It sets the fields the way
     the dataclass does: writing to ``__dict__`` directly is faster but makes
     each value 160 bytes instead of 96.
@@ -313,3 +319,58 @@ def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
     """Componentwise supremum over a nonempty family."""
     items = _members(family, "family_join")
     return _unchecked(_greatest([i.lo for i in items]), _greatest([i.hi for i in items]))
+
+
+# -- order-preserving endpoint codes ----------------------------------------
+
+CodeRow = Tuple[int, ...]
+
+
+class Codes:
+    """Order-preserving int codes for the endpoints of a finite family of intervals.
+
+    ``points`` are the family's distinct endpoints, 0, 1 and ``1 - x`` for
+    each endpoint x, in increasing order; code k stands for ``points[k]``
+    and ``top`` (the code of 1) is ``len(points) - 1``.
+    """
+
+    def __init__(self, values: Iterable[IntervalValue], points: Iterable[Fraction] = ()):
+        # Keyed by (numerator, denominator), which hashes about six times
+        # faster than a Fraction and is unique, a Fraction being in lowest terms.
+        found = {p.as_integer_ratio(): p for p in (BOTTOM.lo, TOP.hi, *points)}
+        for v in values:
+            for x in (v.lo, v.hi):
+                found[x.as_integer_ratio()] = x
+        # (d-n)/d is in lowest terms too: the key of 1 - n/d.
+        for n, d in list(found):
+            if (d - n, d) not in found:
+                found[d - n, d] = Fraction(d - n, d)
+        # Division rounds monotonically: the floats order all but near ties,
+        # which fall to the exact Fraction compare.
+        self.points = tuple(p for _, p in sorted((n / d, p) for (n, d), p in found.items()))
+        self.top = len(self.points) - 1
+        self._index = {p.as_integer_ratio(): k for k, p in enumerate(self.points)}
+
+    def encode(self, values: Iterable[IntervalValue]) -> Tuple[CodeRow, CodeRow]:
+        """The low codes and the high codes of the values; KeyError for an endpoint not a point."""
+        index = self._index
+        lows, highs = [], []
+        for v in values:
+            lows.append(index[v.lo.as_integer_ratio()])
+            highs.append(index[v.hi.as_integer_ratio()])
+        return tuple(lows), tuple(highs)
+
+    def decode(self, lows: CodeRow, highs: CodeRow) -> Tuple[IntervalValue, ...]:
+        """The intervals ``[points[a], points[b]]``, built unchecked from the points."""
+        points = self.points
+        return tuple(_unchecked(points[a], points[b]) for a, b in zip(lows, highs))
+
+    def complement(self, lows: CodeRow, highs: CodeRow) -> Tuple[CodeRow, CodeRow]:
+        """Codes of the complements: ``[1 - hi, 1 - lo]`` is ``[top - b, top - a]``."""
+        top = self.top
+        return tuple(top - b for b in highs), tuple(top - a for a in lows)
+
+    def widen(self, values: Iterable[IntervalValue]) -> Tuple["Codes", List[int]]:
+        """Codes that also number the values' endpoints, and each old code's new code."""
+        wider = Codes(values, self.points)
+        return wider, [wider._index[p.as_integer_ratio()] for p in self.points]

@@ -10,19 +10,21 @@ objects are surfaced as metadata.
 The complementary neighborhood is the transpose of the fuzzy
 neighborhood matrix.  Crisp neighborhoods threshold the fuzzy grades at
 beta; the crisp complementary neighborhood is defined by the same
-thresholding applied to the transpose.  Every neighborhood is read
-from a ``NeighborhoodSystem``, built once per space; ``fuzzy_matrix``
-gives the fuzzy matrix alone, for any mapping and beta.  No complemented
-grades are stored: the lower operators are derived from the upper ones
-by duality.
+thresholding applied to the transpose.  Every neighborhood is read from
+a ``NeighborhoodSystem``, built once per space on endpoint codes
+(``intervals.Codes``): a row is the int ``min`` of the selected sets'
+codes and a crisp set a bitmask with bit j for object j; the
+``IntervalValue`` matrices are decoded when first read.  ``fuzzy_matrix``
+gives the fuzzy matrix alone, for any mapping and beta.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Dict, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import TOP, IntervalValue, family_meet, join, leq_bool, meet
+from .intervals import CodeRow, Codes, IntervalValue, leq_bool
 from .space import SoftMapping, SoftSpace
 
 
@@ -35,110 +37,123 @@ def crisp_of(g: IVFuzzySet, beta: IntervalValue) -> CrispSubset:
 
 
 Matrix = Tuple[Tuple[IntervalValue, ...], ...]
+CodeMatrix = Tuple[CodeRow, ...]
 
 
-def _selected(mapping: SoftMapping, beta: IntervalValue, i: int) -> List[IVFuzzySet]:
-    """The parameter sets whose grade at object index i dominates beta."""
-    return [fs for fs in mapping.assignment if leq_bool(beta, fs.grades[i])]
+def _code_rows(mapping: SoftMapping, beta: IntervalValue):
+    """The codes, beta's codes, the low and high code rows, and the objects selecting no set.
+
+    Row i is the meet of the sets whose grade at object i dominates beta,
+    or the top row [1,1]^U when no set does.
+    """
+    codes = Codes(chain((beta,), *(fs.grades for fs in mapping.assignment)))
+    (b_lo,), (b_hi,) = codes.encode((beta,))
+    sets = [codes.encode(fs.grades) for fs in mapping.assignment]
+    top_row = (codes.top,) * len(mapping.universe)
+    lows, highs, empty = [], [], []
+    for i in range(len(mapping.universe)):
+        selected = [s for s in sets if s[0][i] >= b_lo and s[1][i] >= b_hi]
+        if not selected:
+            empty.append(i)
+            selected = [(top_row, top_row)]
+        # The first set is passed twice, so that a lone set still gives min two arguments.
+        lows.append(tuple(map(min, selected[0][0], *(lo for lo, _ in selected))))
+        highs.append(tuple(map(min, selected[0][1], *(hi for _, hi in selected))))
+    return codes, (b_lo, b_hi), tuple(lows), tuple(highs), empty
 
 
 def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
-    """The fuzzy neighborhood matrix of any mapping and beta, covering or not.
-
-    Row i is the meet of the sets selected at object i, or the top row
-    [1,1]^U when none is.
-    """
-    n = len(mapping.universe)
-    rows = []
-    for i in range(n):
-        selected = _selected(mapping, beta, i)
-        if not selected:
-            rows.append(tuple(TOP for _ in range(n)))
-            continue
-        rows.append(tuple(map(family_meet, zip(*(fs.grades for fs in selected)))))
-    return tuple(rows)
-
-
-def _cuts(matrix: Matrix, beta: IntervalValue) -> Tuple[frozenset, ...]:
-    """Index set of the beta-cut of each row."""
-    return tuple(frozenset(j for j, g in enumerate(row) if leq_bool(beta, g)) for row in matrix)
+    """The fuzzy neighborhood matrix of any mapping and beta, covering or not."""
+    codes, _, lows, highs, _ = _code_rows(mapping, beta)
+    return tuple(map(codes.decode, lows, highs))
 
 
 # Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
-_COMBINE = {3: meet, 4: join}
+_COMBINE = {3: min, 4: max}
 
 
 class NeighborhoodSystem:
-    """Eagerly computed neighborhood matrices for one space.
+    """Neighborhood matrices of one space, on the space's endpoint codes.
 
-    Rows, their transposes and both crisp index sets are computed once at
-    construction; the per-kind kernels of the upper operators are built
-    on first use and kept.
+    The code rows, their transposes and both crisp bitmasks are built at
+    construction; the kind-3 and kind-4 kernels and the decoded matrices on first use.
     """
 
     def __init__(self, space: SoftSpace):
         self.space = space
-        mapping, beta = space.mapping, space.beta
-        self._n = fuzzy_matrix(mapping, beta)
-        self._m = tuple(zip(*self._n))
-        self._crisp = _cuts(self._n, beta)
-        self._crisp_co = _cuts(self._m, beta)
-        self.empty_index_objects = frozenset(
-            obj for i, obj in enumerate(space.universe.objects) if not _selected(mapping, beta, i)
-        )
-        self._kernels = {1: self._n, 2: self._m}
-
-    # -- fuzzy accessors -------------------------------------------------
+        self._codes, self._beta, n_lo, n_hi, empty = _code_rows(space.mapping, space.beta)
+        m_lo, m_hi = tuple(zip(*n_lo)), tuple(zip(*n_hi))
+        self._crisp = tuple(map(self.cut, n_lo, n_hi))
+        self._crisp_co = tuple(map(self.cut, m_lo, m_hi))
+        self.empty_index_objects = frozenset(space.universe.objects[i] for i in empty)
+        self._kernel_codes = {1: (n_lo, n_hi), 2: (m_lo, m_hi)}
+        self._kernels = {}
 
     @property
-    def matrix(self) -> Matrix:
-        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
-        return self._n
+    def codes(self) -> Codes:
+        """The endpoint codes of the space's grades and beta."""
+        return self._codes
 
-    def kernel(self, kind) -> Matrix:
-        """Upper-operator kernel matrix of a kind: N, its transpose M, N meet M, N join M.
+    def cut(self, lows: CodeRow, highs: CodeRow) -> int:
+        """Bitmask of the entries of a code row that dominate beta."""
+        b_lo, b_hi = self._beta
+        return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
+
+    def kernel_codes(self, kind) -> Tuple[CodeMatrix, CodeMatrix]:
+        """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
 
         ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.
         """
         kind = getattr(kind, "value", kind)
-        if kind not in self._kernels:
+        if kind not in self._kernel_codes:
             if kind not in _COMBINE:
                 raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind!r}")
-            self._kernels[kind] = tuple(
-                tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(self._n, self._m)
+            self._kernel_codes[kind] = tuple(
+                tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))
+                for n, m in zip(self._kernel_codes[1], self._kernel_codes[2])
             )
+        return self._kernel_codes[kind]
+
+    def kernel(self, kind) -> Matrix:
+        """The ``IntervalValue`` matrix of ``kernel_codes(kind)``."""
+        kind = getattr(kind, "value", kind)
+        if kind not in self._kernels:
+            self._kernels[kind] = tuple(map(self._codes.decode, *self.kernel_codes(kind)))
         return self._kernels[kind]
 
+    @property
+    def matrix(self) -> Matrix:
+        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
+        return self.kernel(1)
+
     def fuzzy_neighborhood(self, obj: str) -> IVFuzzySet:
-        return IVFuzzySet(self.space.universe, self._n[self.space.universe.index(obj)])
+        return IVFuzzySet(self.space.universe, self.kernel(1)[self.space.universe.index(obj)])
 
     def complementary_fuzzy_neighborhood(self, obj: str) -> IVFuzzySet:
-        return IVFuzzySet(self.space.universe, self._m[self.space.universe.index(obj)])
-
-    # -- crisp accessors -------------------------------------------------
+        return IVFuzzySet(self.space.universe, self.kernel(2)[self.space.universe.index(obj)])
 
     @property
-    def crisp_sets(self) -> Tuple[frozenset, ...]:
-        """Index set of each object's crisp neighborhood."""
+    def crisp_sets(self) -> Tuple[int, ...]:
+        """Bitmask of each object's crisp neighborhood: bit j for the j-th object."""
         return self._crisp
 
     @property
-    def complementary_crisp_sets(self) -> Tuple[frozenset, ...]:
-        """Index set of each object's crisp complementary neighborhood."""
+    def complementary_crisp_sets(self) -> Tuple[int, ...]:
+        """Bitmask of each object's crisp complementary neighborhood."""
         return self._crisp_co
 
-    def crisp_neighborhood(self, obj: str) -> CrispSubset:
+    def _crisp_subset(self, masks: Tuple[int, ...], obj: str) -> CrispSubset:
         u = self.space.universe
-        return CrispSubset(u, frozenset(u.objects[j] for j in self._crisp[u.index(obj)]))
+        mask = masks[u.index(obj)]
+        return CrispSubset(u, frozenset(o for j, o in enumerate(u.objects) if mask >> j & 1))
+
+    def crisp_neighborhood(self, obj: str) -> CrispSubset:
+        return self._crisp_subset(self._crisp, obj)
 
     def complementary_crisp_neighborhood(self, obj: str) -> CrispSubset:
-        u = self.space.universe
-        return CrispSubset(u, frozenset(u.objects[j] for j in self._crisp_co[u.index(obj)]))
+        return self._crisp_subset(self._crisp_co, obj)
 
     def matrix_json(self) -> Dict[str, Dict[str, str]]:
         """Full fuzzy grade matrix as nested text literals."""
-        u = self.space.universe.objects
-        return {
-            x: {y: self._n[i][j].text() for j, y in enumerate(u)}
-            for i, x in enumerate(u)
-        }
+        u, n = self.space.universe.objects, self.matrix
+        return {x: {y: n[i][j].text() for j, y in enumerate(u)} for i, x in enumerate(u)}

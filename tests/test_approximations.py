@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 from betacover import (
     CrispSubset,
     GenConfig,
+    IntervalValue,
     IVFuzzySet,
     Kind,
     NeighborhoodSystem,
+    SoftMapping,
     Universe,
     UniverseMismatchError,
     approximate,
+    build_space,
     crisp_lower,
     crisp_upper,
     fuzzy_lower,
@@ -30,7 +35,7 @@ from betacover.oracle import (
     oracle_fuzzy_upper,
 )
 
-from conftest import fuzzy, iv, mixed_intervals, mixed_spaces
+from conftest import fuzzy, iv, make_space, mixed_intervals, mixed_spaces
 
 
 @pytest.fixture
@@ -200,6 +205,66 @@ class TestAgainstOracle:
                 space, kind, cx, crisp_tables)
             assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(
                 space, kind, cx, crisp_tables)
+
+
+def assert_matches_oracle(space, ns, fx, cx):
+    """The system's matrices and cuts, and all 16 operator results, equal the oracle's."""
+    u = space.universe
+    fuzzy_tables, crisp_tables = oracle_fuzzy_tables(space), oracle_crisp_tables(space)
+    for kind, table in zip((1, 2), fuzzy_tables):
+        assert ns.kernel(kind) == tuple(table[x].grades for x in u)
+    for x in u:
+        assert ns.crisp_neighborhood(x) == crisp_tables[0][x]
+        assert ns.complementary_crisp_neighborhood(x) == crisp_tables[1][x]
+    for kind in Kind:
+        assert fuzzy_lower(space, kind, fx, ns) == oracle_fuzzy_lower(space, kind, fx, fuzzy_tables)
+        assert fuzzy_upper(space, kind, fx, ns) == oracle_fuzzy_upper(space, kind, fx, fuzzy_tables)
+        assert crisp_lower(space, kind, cx, ns) == oracle_crisp_lower(space, kind, cx, crisp_tables)
+        assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(space, kind, cx, crisp_tables)
+
+
+class TestEndpointCodes:
+    def test_a_target_on_a_finer_grid_widens_the_codes(self, xyz):
+        space = make_space(
+            xyz.objects,
+            {
+                "e1": {"x": "[1/2,1]", "y": "[0,1/2]", "z": "[1/2,1/2]"},
+                "e2": {"x": "[0,1/2]", "y": "[1/2,1]", "z": "[1,1]"},
+                "e3": {"x": "[1/2,1/2]", "y": "[1/2,1/2]", "z": "[0,1/2]"},
+            },
+            "[1/2,1/2]",
+        )
+        ns = NeighborhoodSystem(space)
+        assert ns.codes.points == (0, Fraction(1, 2), 1)
+        fx = fuzzy(xyz, x="[1/3,2/3]", y="[0,1/3]", z="[2/3,1]")
+        assert_matches_oracle(space, ns, fx, CrispSubset.of(xyz, ["x", "z"]))
+        assert fuzzy_upper(space, 1, fx, ns).grade("x") == iv("[1/3,1/2]")
+
+    def test_hostile_denominators_stay_exact_and_bounded(self):
+        # One distinct odd 200-bit denominator per grade.  Scaling every
+        # endpoint to a common denominator would carry 400 such factors in
+        # each entry; codes stay small ints whatever the denominators.
+        rng = random.Random("hostile-denominators")
+
+        def grade():
+            d = rng.getrandbits(200) | 1 << 199 | 1
+            lo, hi = sorted((rng.randrange(d + 1), rng.randrange(d + 1)))
+            return IntervalValue(Fraction(lo, d), Fraction(hi, d))
+
+        u = Universe(tuple(f"x{i}" for i in range(40)))
+        table = {f"e{j}": {o: grade() for o in u} for j in range(10)}
+        space = build_space(SoftMapping.from_dict(u, table), iv("[1/4,1/2]"), "repair:e0")
+        fx = IVFuzzySet(u, tuple(grade() for _ in u))
+        cx = CrispSubset.of(u, [o for o in u if rng.random() < 0.5])
+        start = time.perf_counter()
+        ns = NeighborhoodSystem(space)
+        for kind in Kind:
+            fuzzy_lower(space, kind, fx, ns)
+            fuzzy_upper(space, kind, fx, ns)
+            crisp_lower(space, kind, cx, ns)
+            crisp_upper(space, kind, cx, ns)
+        assert time.perf_counter() - start < 5
+        assert_matches_oracle(space, ns, fx, cx)
 
 
 class TestApproximatePair:

@@ -112,23 +112,19 @@ class TestCheck:
 # Stand-in neighborhood systems over x, y, z with beta [0.5,0.5], each
 # broken so that the named law fails: I and M reach beta, O does not.
 I, M, O = iv("[1,1]"), iv("[0.6,0.6]"), iv("[0,0]")
-FULL = frozenset({0, 1, 2})
+FULL = 0b111
 TOP_ROWS = ((I, I, I),) * 3
 BROKEN_SYSTEMS = {
-    # id: (fuzzy matrix, crisp index sets, the objects the failure names)
+    # id: (fuzzy matrix, crisp bitmasks with bit j for object j, the objects the failure names)
     "N-REFL": (((I, I, I), (I, O, I), (I, I, I)), (FULL,) * 3, {"object": "y"}),
     "N-TRANS": (((I, I, O), (I, I, I), (I, I, I)), (FULL,) * 3, {"x": "x", "y": "y", "z": "z"}),
     # below the matrix the real space has at beta_low = beta, which is all [1,1]
     "N-MONO": (((I, I, I), (I, I, O), (I, I, I)), (FULL,) * 3, {"x": "y", "y": "z"}),
     "N-CONTAIN": (((I, I, M), (I, I, I), (I, I, I)), (FULL,) * 3, {"x": "x", "y": "y"}),
     "N-EQ": (((I, I, I), (O, I, I), (O, I, M)), (FULL,) * 3, {"x": "y", "y": "z"}),
-    "CN-REFL": (TOP_ROWS, (FULL, frozenset({0, 2}), FULL), {"object": "y"}),
-    "CN-MEMB": (TOP_ROWS, (frozenset({0, 1}), FULL, FULL), {"x": "x", "y": "y"}),
-    "CN-TRANS": (
-        TOP_ROWS,
-        (frozenset({0}), frozenset({1, 2}), frozenset({0, 2})),
-        {"x": "y", "y": "z", "z": "x"},
-    ),
+    "CN-REFL": (TOP_ROWS, (FULL, 0b101, FULL), {"object": "y"}),
+    "CN-MEMB": (TOP_ROWS, (0b011, FULL, FULL), {"x": "x", "y": "y"}),
+    "CN-TRANS": (TOP_ROWS, (0b001, 0b110, 0b101), {"x": "y", "y": "z", "z": "x"}),
     "CN-EQ": (((I, I, I), (I, I, I), (I, I, M)), (FULL,) * 3, {"x": "x", "y": "z"}),
 }
 

@@ -21,7 +21,13 @@ from betacover import (
     meet,
     relation,
 )
-from betacover.intervals import MAX_DIGITS, MAX_EXPONENT, format_endpoint, parse_endpoint
+from betacover.intervals import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    Codes,
+    format_endpoint,
+    parse_endpoint,
+)
 
 from conftest import intervals, iv, mixed_intervals
 
@@ -282,3 +288,64 @@ class TestUncheckedResults:
                     (Fraction(0), Fraction(1)), Fraction(1, 2), None):
             with pytest.raises(TypeError):
                 op(bad)
+
+
+class TestCodes:
+    """Codes stand for endpoints by their order, and decode to the checked intervals.
+
+    The expected values use Fraction's own order and ``1 - x``, over
+    endpoints with mixed and huge denominators.
+    """
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6))
+    def test_codes_order_endpoints_as_fraction_does(self, family):
+        codes = Codes(family)
+        lows, highs = codes.encode(family)
+        coded = [(v.lo, a) for v, a in zip(family, lows)]
+        coded += [(v.hi, b) for v, b in zip(family, highs)]
+        for x, a in coded:
+            assert codes.points[a] == x
+            for y, b in coded:
+                assert (a <= b) == (x <= y)
+        points = list(codes.points)
+        assert points == sorted(set(points)) and points[0] == 0 and points[codes.top] == 1
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6))
+    def test_top_minus_a_code_is_the_code_of_one_minus(self, family):
+        codes = Codes(family)
+        for k, x in enumerate(codes.points):
+            assert codes.points[codes.top - k] == 1 - x
+        complements = codes.decode(*codes.complement(*codes.encode(family)))
+        assert complements == tuple(IntervalValue(1 - v.hi, 1 - v.lo) for v in family)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6))
+    def test_decode_of_encode_is_the_checked_interval(self, family):
+        codes = Codes(family)
+        decoded = codes.decode(*codes.encode(family))
+        assert decoded == tuple(IntervalValue(v.lo, v.hi) for v in family)
+        assert all(type(v.lo) is Fraction and type(v.hi) is Fraction for v in decoded)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=4),
+           st.lists(mixed_intervals(), min_size=1, max_size=4))
+    def test_widening_numbers_new_endpoints_and_maps_old_codes(self, family, extra):
+        codes = Codes(family)
+        wider, remap = codes.widen(extra)
+        assert [wider.points[k] for k in remap] == list(codes.points)
+        assert wider.decode(*wider.encode(extra)) == tuple(extra)
+
+    def test_endpoints_whose_floats_tie_keep_their_order(self):
+        # 1/(2^64+1) < 1/2^64 round to one float, and so do their complements and 1.
+        a, b = Fraction(1, 2**64 + 1), Fraction(1, 2**64)
+        codes = Codes([IntervalValue(a, b)])
+        assert codes.points == (0, a, b, 1 - b, 1 - a, 1)
+        assert float(a) == float(b) and float(1 - a) == 1.0
+
+    def test_an_endpoint_that_is_no_point_is_a_key_error(self):
+        codes = Codes([iv("[0.5,0.5]")])
+        assert codes.points == (0, Fraction(1, 2), 1)
+        with pytest.raises(KeyError):
+            codes.encode([iv("[0.25,0.5]")])

@@ -203,6 +203,12 @@ LONG_LITERAL_DOCUMENTS = {
         beta="[0.5,0.5]",
         membership={"e1": {"o" * 100_000: "[0,0]"}},
     ),
+    "long-join-not-covering": _space_with(
+        universe=["x"],
+        parameters=["e1"],
+        beta="[0.5,0.5]",
+        membership={"e1": {"x": "[0." + "1" * 4000 + ",0." + "1" * 4000 + "]"}},
+    ),
     "many-objects-not-covering": _space_with(
         universe=[f"x{i}" for i in range(2000)],
         parameters=["e1"],

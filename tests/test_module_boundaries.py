@@ -12,7 +12,8 @@ attribute), so that how endpoints are stored and compared is decided in
 
 The oracle is the independent check on the fast path, so it takes only
 ``Kind`` from ``approximations`` and only ``crisp_of`` from
-``neighborhoods``.
+``neighborhoods``.  The operators in ``approximations`` work on endpoint
+codes, so they import none of the per-entry interval operations.
 """
 
 import ast
@@ -124,26 +125,41 @@ def test_the_endpoint_guard_sees_reads(tmp_path):
     assert endpoint_reads(sample) == [(1, "lo"), (2, "hi")]
 
 
-# What the oracle may take from the fast path's modules.
-ORACLE_ALLOWED = {"betacover.approximations": {"Kind"}, "betacover.neighborhoods": {"crisp_of"}}
+def imports_from(path: Path, watched) -> list:
+    """(line, text, module, name) for each import from a module in ``watched``.
 
-
-def fast_path_imports(path: Path) -> list:
-    """(line, text) for each name the module takes from the fast path beyond ORACLE_ALLOWED."""
+    ``name`` is None where the whole module is imported.
+    """
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = _imported_module(node)
             for alias in node.names:
-                module = f"{source}.{alias.name}" if source == "betacover" else source
-                if module in ORACLE_ALLOWED and alias.name not in ORACLE_ALLOWED[module]:
-                    found.append((node.lineno, f"from {source} import {alias.name}"))
+                if source == "betacover" and f"{source}.{alias.name}" in watched:
+                    text = f"from {source} import {alias.name}"
+                    found.append((node.lineno, text, f"{source}.{alias.name}", None))
+                elif source in watched:
+                    text = f"from {source} import {alias.name}"
+                    found.append((node.lineno, text, source, alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in ORACLE_ALLOWED:
-                    found.append((node.lineno, f"import {alias.name}"))
+                if alias.name in watched:
+                    found.append((node.lineno, f"import {alias.name}", alias.name, None))
     return sorted(found)
+
+
+# What the oracle may take from the fast path's modules.
+ORACLE_ALLOWED = {"betacover.approximations": {"Kind"}, "betacover.neighborhoods": {"crisp_of"}}
+
+
+def fast_path_imports(path: Path) -> list:
+    """(line, text) for each name the module takes from the fast path beyond ORACLE_ALLOWED."""
+    return [
+        (line, text)
+        for line, text, module, name in imports_from(path, ORACLE_ALLOWED)
+        if name not in ORACLE_ALLOWED[module]
+    ]
 
 
 def test_the_oracle_takes_nothing_else_from_the_fast_path():
@@ -166,4 +182,41 @@ def test_the_oracle_guard_sees_every_form(tmp_path):
         "from betacover import approximations",
         "import betacover.neighborhoods",
         "from betacover.approximations import crisp_upper",
+    ]
+
+
+# The operators work on endpoint codes; these would bring back a per-entry
+# Fraction path beside them.
+PER_ENTRY_OPERATIONS = {"meet", "join", "complement", "leq_bool", "family_meet", "family_join"}
+
+
+def per_entry_imports(path: Path) -> list:
+    """(line, text) for each per-entry interval operation the module imports, or the whole layer."""
+    return [
+        (line, text)
+        for line, text, _, name in imports_from(path, {"betacover.intervals"})
+        if name is None or name in PER_ENTRY_OPERATIONS
+    ]
+
+
+def test_the_operators_take_no_per_entry_interval_operation():
+    assert per_entry_imports(PACKAGE / "approximations.py") == []
+
+
+def test_the_operator_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import Codes, meet\n"
+        "from .intervals import leq_bool as le, TOP\n"
+        "from . import intervals\n"
+        "import betacover.intervals\n"
+        "def f():\n"
+        "    from betacover.intervals import family_join\n"
+    )
+    assert [text for _, text in per_entry_imports(sample)] == [
+        "from betacover.intervals import meet",
+        "from betacover.intervals import leq_bool",
+        "from betacover import intervals",
+        "import betacover.intervals",
+        "from betacover.intervals import family_join",
     ]

@@ -89,9 +89,9 @@ class TestMatrices:
         ns = NeighborhoodSystem(derived_space)
         for i, o in enumerate(xyz.objects):
             assert ns.matrix[i] == ns.fuzzy_neighborhood(o).grades
-            crisp = {xyz.objects[j] for j in ns.crisp_sets[i]}
+            crisp = {y for j, y in enumerate(xyz.objects) if ns.crisp_sets[i] >> j & 1}
             assert crisp == ns.crisp_neighborhood(o).members
-            co = {xyz.objects[j] for j in ns.complementary_crisp_sets[i]}
+            co = {y for j, y in enumerate(xyz.objects) if ns.complementary_crisp_sets[i] >> j & 1}
             assert co == ns.complementary_crisp_neighborhood(o).members
 
     def test_kernels_by_kind_or_number(self, derived_space):
