@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from itertools import compress, repeat
+from operator import and_, not_, or_
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
-from .fuzzysets import CrispSubset, IVFuzzySet, Universe
+from .fuzzysets import CrispSubset, IVFuzzySet
 from .neighborhoods import NeighborhoodSystem
 from .space import SoftSpace
 
@@ -89,24 +91,20 @@ def _fuzzy_upper(kernel, target):
 _HITS = {
     Kind.K1: lambda n_hit, m_hit: n_hit,
     Kind.K2: lambda n_hit, m_hit: m_hit,
-    Kind.K3: lambda n_hit, m_hit: n_hit and m_hit,
-    Kind.K4: lambda n_hit, m_hit: n_hit or m_hit,
+    Kind.K3: and_,
+    Kind.K4: or_,
 }
 
 
-def _crisp_upper(ns: NeighborhoodSystem, kind: Kind, target: int) -> int:
-    """Bitmask of the objects whose crisp neighborhoods of the kind meet the target's mask."""
-    hits = _HITS[kind]
-    pairs = zip(ns.crisp_sets, ns.complementary_crisp_sets)
-    return sum(1 << i for i, (n, m) in enumerate(pairs) if hits(n & target, m & target))
+def _crisp_hits(ns: NeighborhoodSystem, kind: Kind, target: int) -> Iterator[bool]:
+    """Per object, whether its crisp neighborhoods of the kind meet the target's bitmask."""
+    n_hits = map(bool, map(and_, ns.crisp_sets, repeat(target)))
+    m_hits = map(bool, map(and_, ns.complementary_crisp_sets, repeat(target)))
+    return map(_HITS[kind], n_hits, m_hits)
 
 
 def _mask(target: CrispSubset) -> int:
     return sum(1 << i for i in map(target.universe.index, target.members))
-
-
-def _subset(u: Universe, mask: int) -> CrispSubset:
-    return CrispSubset(u, frozenset(o for i, o in enumerate(u.objects) if mask >> i & 1))
 
 
 def fuzzy_lower(
@@ -142,8 +140,9 @@ def crisp_lower(
 ) -> CrispSubset:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind, ns = _prepare(space, kind, target, system)
-    full = (1 << len(target.universe)) - 1
-    return _subset(target.universe, full ^ _crisp_upper(ns, kind, full ^ _mask(target)))
+    u = target.universe
+    outside = ((1 << len(u)) - 1) ^ _mask(target)
+    return CrispSubset(u, frozenset(compress(u.objects, map(not_, _crisp_hits(ns, kind, outside)))))
 
 
 def crisp_upper(
@@ -154,7 +153,8 @@ def crisp_upper(
 ) -> CrispSubset:
     """Objects whose crisp neighborhoods of the kind meet the target."""
     kind, ns = _prepare(space, kind, target, system)
-    return _subset(target.universe, _crisp_upper(ns, kind, _mask(target)))
+    u = target.universe
+    return CrispSubset(u, frozenset(compress(u.objects, _crisp_hits(ns, kind, _mask(target)))))
 
 
 def approximate(
