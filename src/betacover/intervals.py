@@ -323,7 +323,7 @@ def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
 
 # -- order-preserving endpoint codes ----------------------------------------
 
-CodeRow = Tuple[int, ...]
+_CodeRow = Tuple[int, ...]
 
 
 class Codes:
@@ -351,7 +351,7 @@ class Codes:
         self.top = len(self.points) - 1
         self._index = {p.as_integer_ratio(): k for k, p in enumerate(self.points)}
 
-    def encode(self, values: Iterable[IntervalValue]) -> Tuple[CodeRow, CodeRow]:
+    def encode(self, values: Iterable[IntervalValue]) -> Tuple[_CodeRow, _CodeRow]:
         """The low codes and the high codes of the values; KeyError for an endpoint not a point."""
         index = self._index
         lows, highs = [], []
@@ -360,12 +360,12 @@ class Codes:
             highs.append(index[v.hi.as_integer_ratio()])
         return tuple(lows), tuple(highs)
 
-    def decode(self, lows: CodeRow, highs: CodeRow) -> Tuple[IntervalValue, ...]:
+    def decode(self, lows: _CodeRow, highs: _CodeRow) -> Tuple[IntervalValue, ...]:
         """The intervals ``[points[a], points[b]]``, built unchecked from the points."""
         points = self.points
         return tuple(_unchecked(points[a], points[b]) for a, b in zip(lows, highs))
 
-    def complement(self, lows: CodeRow, highs: CodeRow) -> Tuple[CodeRow, CodeRow]:
+    def complement(self, lows: _CodeRow, highs: _CodeRow) -> Tuple[_CodeRow, _CodeRow]:
         """Codes of the complements: ``[1 - hi, 1 - lo]`` is ``[top - b, top - a]``."""
         top = self.top
         return tuple(top - b for b in highs), tuple(top - a for a in lows)

@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Dict, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import CodeRow, Codes, IntervalValue, leq_bool
+from .intervals import Codes, IntervalValue, leq_bool
 from .space import SoftMapping, SoftSpace
 
 
@@ -37,7 +37,7 @@ def crisp_of(g: IVFuzzySet, beta: IntervalValue) -> CrispSubset:
 
 
 Matrix = Tuple[Tuple[IntervalValue, ...], ...]
-CodeMatrix = Tuple[CodeRow, ...]
+_CodeMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def _code_rows(mapping: SoftMapping, beta: IntervalValue):
@@ -94,12 +94,12 @@ class NeighborhoodSystem:
         """The endpoint codes of the space's grades and beta."""
         return self._codes
 
-    def cut(self, lows: CodeRow, highs: CodeRow) -> int:
+    def cut(self, lows: Tuple[int, ...], highs: Tuple[int, ...]) -> int:
         """Bitmask of the entries of a code row that dominate beta."""
         b_lo, b_hi = self._beta
         return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
 
-    def kernel_codes(self, kind) -> Tuple[CodeMatrix, CodeMatrix]:
+    def kernel_codes(self, kind) -> Tuple[_CodeMatrix, _CodeMatrix]:
         """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
 
         ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.
