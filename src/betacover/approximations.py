@@ -104,7 +104,7 @@ def _crisp_hits(ns: NeighborhoodSystem, kind: Kind, target: int) -> Iterator[boo
 
 
 def _mask(target: CrispSubset) -> int:
-    return sum(1 << i for i in map(target.universe.index, target.members))
+    return sum(map((1).__lshift__, map(target.universe.index, target.members)))
 
 
 def fuzzy_lower(

@@ -67,8 +67,15 @@ def _pass() -> CheckResult:
     return CheckResult(PASS)
 
 
+def _text(value) -> str:
+    """Detail text, built only on failure: a fuzzy set's document, a crisp set's sorted members."""
+    if isinstance(value, IVFuzzySet):
+        return str(set_to_doc(value))
+    return str(sorted(value.members) if isinstance(value, CrispSubset) else value)
+
+
 def _fail(**detail) -> CheckResult:
-    return CheckResult(FAIL, detail={k: str(v) for k, v in detail.items()})
+    return CheckResult(FAIL, detail={k: _text(v) for k, v in detail.items()})
 
 
 def _skip(reason: str) -> CheckResult:
@@ -157,25 +164,27 @@ class TrialContext:
         self._memo: Dict[Hashable, object] = {}
 
     def fl(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-        key = ("fl", kind, target.grades)
-        return self.cached(key, lambda: fuzzy_lower(self.space, kind, target, self.ns))
+        key = ("fl", kind.value, target.grades)
+        return self.cached(key, fuzzy_lower, self.space, kind, target, self.ns)
 
     def fu(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-        key = ("fu", kind, target.grades)
-        return self.cached(key, lambda: fuzzy_upper(self.space, kind, target, self.ns))
+        key = ("fu", kind.value, target.grades)
+        return self.cached(key, fuzzy_upper, self.space, kind, target, self.ns)
 
     def cl(self, kind: Kind, target: CrispSubset) -> CrispSubset:
-        key = ("cl", kind, target.members)
-        return self.cached(key, lambda: crisp_lower(self.space, kind, target, self.ns))
+        key = ("cl", kind.value, target.members)
+        return self.cached(key, crisp_lower, self.space, kind, target, self.ns)
 
     def cu(self, kind: Kind, target: CrispSubset) -> CrispSubset:
-        key = ("cu", kind, target.members)
-        return self.cached(key, lambda: crisp_upper(self.space, kind, target, self.ns))
+        key = ("cu", kind.value, target.members)
+        return self.cached(key, crisp_upper, self.space, kind, target, self.ns)
 
-    def cached(self, key: Hashable, build: Callable[[], object]):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+    def cached(self, key: Hashable, build: Callable[..., object], *args):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(*args)
+            return value
 
 
 Checker = Callable[[TrialContext], CheckResult]
@@ -429,24 +438,15 @@ class _Mode:
     x: str  # CheckInputs fields holding the two sampled targets
     y: str
     key: str  # detail key of the target in a one-target statement
-    doc: Callable[[Target], object]  # detail form of a target
     bounded: Callable[[TrialContext], Optional[Target]]  # target of L(X) in X in U(X), or None
     full: Callable[[Universe], Target]  # the full and the empty set of a universe
     empty: Callable[[Universe], Target]
 
 
-def _members(target: CrispSubset) -> List[str]:
-    return sorted(target.members)
-
-
-_FUZZY = _Mode(
-    "fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", set_to_doc, _hypothesis_target,
-    IVFuzzySet.top, IVFuzzySet.bottom,
-)
-_CRISP = _Mode(
-    "crisp", "cl", "cu", "crisp_x", "crisp_y", "x", _members, operator.attrgetter("inputs.crisp_x"),
-    CrispSubset.full, CrispSubset.empty,
-)
+_FUZZY = _Mode("fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", _hypothesis_target,
+               IVFuzzySet.top, IVFuzzySet.bottom)
+_CRISP = _Mode("crisp", "cl", "cu", "crisp_x", "crisp_y", "x",
+               operator.attrgetter("inputs.crisp_x"), CrispSubset.full, CrispSubset.empty)
 
 _UNBOUNDED = "boundedness hypothesis infeasible or unsatisfied"
 
@@ -481,7 +481,7 @@ def _law_dual(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
     lower, upper, x, _ = _bind(ctx, mode, kind)
     xc = x.complement()
     ok = lower(xc) == upper(x).complement() and upper(xc) == lower(x).complement()
-    return _verdict(ok, **{mode.key: mode.doc(x)})
+    return _verdict(ok, **{mode.key: x})
 
 
 def _law_morphism(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -490,14 +490,14 @@ def _law_morphism(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
         lower(x.intersect(y)) == lower(x).intersect(lower(y))
         and upper(x.union(y)) == upper(x).union(upper(y))
     )
-    return _verdict(ok, x=mode.doc(x), y=mode.doc(y))
+    return _verdict(ok, x=x, y=y)
 
 
 def _law_monotone(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
     lower, upper, x, y = _bind(ctx, mode, kind)
     big = x.union(y)
     ok = lower(x).is_subset(lower(big)) and upper(x).is_subset(upper(big))
-    return _verdict(ok, small=mode.doc(x), large=mode.doc(big))
+    return _verdict(ok, small=x, large=big)
 
 
 def _law_subdistributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -506,7 +506,7 @@ def _law_subdistributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckRes
         lower(x).union(lower(y)).is_subset(lower(x.union(y)))
         and upper(x.intersect(y)).is_subset(upper(x).intersect(upper(y)))
     )
-    return _verdict(ok, x=mode.doc(x), y=mode.doc(y))
+    return _verdict(ok, x=x, y=y)
 
 
 def _law_inclusion(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -515,7 +515,7 @@ def _law_inclusion(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
     if target is None:
         return _skip(_UNBOUNDED)
     ok = _chain(lower(target), target, upper(target))
-    return _verdict(ok, **{mode.key: mode.doc(target)})
+    return _verdict(ok, **{mode.key: target})
 
 
 def _law_iteration(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -525,7 +525,7 @@ def _law_iteration(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
         return _skip(_UNBOUNDED)
     low, up = lower(target), upper(target)
     ok = _chain(lower(low), low, target, up, upper(up))
-    return _verdict(ok, **{mode.key: mode.doc(target)})
+    return _verdict(ok, **{mode.key: target})
 
 
 def _law_nested_distributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
@@ -535,7 +535,7 @@ def _law_nested_distributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> Chec
         lower(x).union(lower(y)) == lower(x.union(y))
         and upper(x.intersect(y)) == upper(x).intersect(upper(y))
     )
-    return _verdict(ok, small=mode.doc(x), large=mode.doc(y))
+    return _verdict(ok, small=x, large=y)
 
 
 _A_PROPS = {
@@ -611,7 +611,7 @@ def _check_rel(mode: _Mode, relation: Callable, ctx: TrialContext) -> CheckResul
     lower, upper = getattr(ctx, mode.lower), getattr(ctx, mode.upper)
     x = getattr(ctx.inputs, mode.x)
     ok = relation(lambda k: lower(Kind(k), x), lambda k: upper(Kind(k), x))
-    return _verdict(ok, target=mode.doc(x))
+    return _verdict(ok, target=x)
 
 
 for _mode, _tag in ((_FUZZY, "F"), (_CRISP, "C")):
@@ -637,7 +637,7 @@ def _check_sandwich(ctx: TrialContext) -> CheckResult:
         ctx.fu(Kind.K1, target),
         ctx.fu(Kind.K4, target),
     )
-    return _verdict(ok, target=set_to_doc(target))
+    return _verdict(ok, target=target)
 
 
 @_law("TWO-SPACE", "equal crisp neighborhoods give equal kind-1 crisp approximations across spaces")
@@ -654,7 +654,7 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
         ctx.cl(Kind.K1, x).members == crisp_lower(other, Kind.K1, x2, ns2).members
         and ctx.cu(Kind.K1, x).members == crisp_upper(other, Kind.K1, x2, ns2).members
     )
-    return _verdict(ok, target=sorted(x.members))
+    return _verdict(ok, target=x)
 
 
 # -- strictness witnesses ------------------------------------------------------

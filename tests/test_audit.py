@@ -1,11 +1,14 @@
 import random
+import re
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from betacover import (
     GenConfig,
+    IntervalValue,
     NeighborhoodSystem,
     UnknownTheoremError,
     all_theorem_ids,
@@ -190,6 +193,44 @@ class TestRunAudit:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_audit(self.CFG, trials=0)
+
+
+class TestTrialCosts:
+    """What a trial must not spend: Fraction hashes, and detail text for a passing check."""
+
+    def test_trials_hash_no_fraction(self, monkeypatch):
+        calls = 0
+        original = Fraction.__hash__
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return original(value)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        cfg = GenConfig(universe_size=6, parameter_count=5, grid_denominator=20, seed=202)
+        report = run_audit(cfg, trials=20)
+        assert report.stats["A1-P2"].trials == 20
+        assert calls == 0
+        hash(Fraction(1, 3))
+        assert calls == 1  # the wrapper is the hash Python calls
+
+    def test_passing_set_checks_render_no_detail(self, monkeypatch, derived_space):
+        ids = [t for t in all_theorem_ids() if re.match(r"(C?A\d-P|REL-)", t)]
+        cases = [(derived_space, make_inputs(derived_space))]
+        for seed in range(3):
+            space = gen_space(GenConfig(universe_size=6, parameter_count=5, seed=seed))
+            cases.append((space, make_inputs(space, seed=seed)))
+        passing = [(t, *case) for case in cases for t in ids if check(t, *case).outcome == PASS]
+        assert len(passing) > 3 * len(ids)
+
+        def refuse(*args):
+            raise AssertionError("a passing check rendered a detail")
+
+        monkeypatch.setattr("betacover.audit.set_to_doc", refuse)
+        monkeypatch.setattr(IntervalValue, "text", refuse)
+        for theorem, space, inputs in passing:
+            assert check(theorem, space, inputs).outcome == PASS
 
 
 class TestInputsSerialization:

@@ -55,6 +55,36 @@ class TestConstruction:
                 IntervalValue.parse(text)
 
 
+class TestHash:
+    """Equal intervals hash alike, however they are spelled or built."""
+
+    def test_spellings_of_one_interval_find_one_key(self):
+        spellings = [iv("[0.5,1]"), iv("[1/2,1]"), IntervalValue.of("2/4", 1),
+                     IntervalValue(Fraction(1, 2), Fraction(1))]
+        table = {spellings[0]: "half"}
+        for value in spellings:
+            assert value == spellings[0] and hash(value) == hash(spellings[0])
+            assert table[value] == "half"
+
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_intervals(), mixed_intervals())
+    def test_equal_intervals_have_equal_hashes(self, a, b):
+        lo, hi = a.lo, a.hi
+        scaled = IntervalValue.of(f"{3 * lo.numerator}/{3 * lo.denominator}",
+                                  f"{7 * hi.numerator}/{7 * hi.denominator}")
+        pairs = [
+            (IntervalValue.parse(a.text()), a),
+            (scaled, a),
+            (meet(a, b), IntervalValue(min(a.lo, b.lo), min(a.hi, b.hi))),
+            (join(a, b), IntervalValue(max(a.lo, b.lo), max(a.hi, b.hi))),
+            (complement(a), IntervalValue(1 - a.hi, 1 - a.lo)),
+        ]
+        for built, checked in pairs:
+            assert built == checked and hash(built) == hash(checked)
+            assert {checked: True}.get(built)
+        assert (a == b) <= (hash(a) == hash(b))
+
+
 class TestEndpointText:
     def test_decimal_for_power_of_ten_denominators(self):
         assert format_endpoint(Fraction(11, 20)) == "0.55"
@@ -336,6 +366,13 @@ class TestCodes:
         wider, remap = codes.widen(extra)
         assert [wider.points[k] for k in remap] == list(codes.points)
         assert wider.decode(*wider.encode(extra)) == tuple(extra)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(st.lists(mixed_intervals(), min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_encoding_is_the_codes_and_encode_of_each_family(self, families):
+        codes, rows = Codes.encoding(families)
+        assert codes.points == Codes([v for family in families for v in family]).points
+        assert rows == [codes.encode(family) for family in families]
 
     def test_endpoints_whose_floats_tie_keep_their_order(self):
         # 1/(2^64+1) < 1/2^64 round to one float, and so do their complements and 1.
