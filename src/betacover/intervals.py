@@ -30,8 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import EmptyFamilyError, excerpt
 
@@ -331,8 +330,6 @@ def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
 # -- order-preserving endpoint codes ----------------------------------------
 
 _CodeRow = Tuple[int, ...]
-_ratio = Fraction.as_integer_ratio
-_lo, _hi = attrgetter("lo"), attrgetter("hi")
 
 
 class Codes:
@@ -355,34 +352,10 @@ class Codes:
             if (d - n, d) not in found:
                 found[d - n, d] = Fraction(d - n, d)
         # Division rounds monotonically: the floats order all but near ties,
-        # which fall to the exact Fraction compare; the points being distinct,
-        # the keys are never compared.
-        _, self.points, keys = zip(*sorted([(n / d, p, (n, d)) for (n, d), p in found.items()]))
-        self.top = len(keys) - 1
-        self._index = dict(zip(keys, range(len(keys))))
-
-    @classmethod
-    def encoding(
-        cls, families: Sequence[Sequence[IntervalValue]]
-    ) -> Tuple["Codes", List[Tuple[_CodeRow, _CodeRow]]]:
-        """Codes for the endpoints of several families, and each family's ``encode``.
-
-        Each endpoint's key is read once, for the table and the codes both;
-        the table is built from the distinct endpoints.
-        """
-        values = [v for family in families for v in family]
-        lows, highs = list(map(_lo, values)), list(map(_hi, values))
-        lo_keys, hi_keys = list(map(_ratio, lows)), list(map(_ratio, highs))
-        found = dict(zip(lo_keys, lows))
-        found.update(zip(hi_keys, highs))
-        codes = cls((), found.values())
-        index = codes._index.__getitem__
-        lo_codes, hi_codes = list(map(index, lo_keys)), list(map(index, hi_keys))
-        rows, end = [], 0
-        for family in families:
-            start, end = end, end + len(family)
-            rows.append((tuple(lo_codes[start:end]), tuple(hi_codes[start:end])))
-        return codes, rows
+        # which fall to the exact Fraction compare.
+        self.points = tuple(p for _, p in sorted((n / d, p) for (n, d), p in found.items()))
+        self.top = len(self.points) - 1
+        self._index = {p.as_integer_ratio(): k for k, p in enumerate(self.points)}
 
     def encode(self, values: Iterable[IntervalValue]) -> Tuple[_CodeRow, _CodeRow]:
         """The low codes and the high codes of the values; KeyError for an endpoint not a point."""

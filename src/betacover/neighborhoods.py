@@ -20,6 +20,7 @@ gives the fuzzy matrix alone, for any mapping and beta.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
@@ -45,8 +46,9 @@ def _code_rows(mapping: SoftMapping, beta: IntervalValue):
     Row i is the meet of the sets whose grade at object i dominates beta,
     or the top row [1,1]^U when no set does.
     """
-    families = [(beta,), *(fs.grades for fs in mapping.assignment)]
-    codes, (((b_lo,), (b_hi,)), *sets) = Codes.encoding(families)
+    codes = Codes(chain((beta,), *(fs.grades for fs in mapping.assignment)))
+    (b_lo,), (b_hi,) = codes.encode((beta,))
+    sets = [codes.encode(fs.grades) for fs in mapping.assignment]
     top_row = (codes.top,) * len(mapping.universe)
     lows, highs, empty = [], [], []
     for i in range(len(mapping.universe)):

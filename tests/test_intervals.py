@@ -367,13 +367,6 @@ class TestCodes:
         assert [wider.points[k] for k in remap] == list(codes.points)
         assert wider.decode(*wider.encode(extra)) == tuple(extra)
 
-    @settings(max_examples=200, deadline=1000)
-    @given(st.lists(st.lists(mixed_intervals(), min_size=1, max_size=4), min_size=1, max_size=4))
-    def test_encoding_is_the_codes_and_encode_of_each_family(self, families):
-        codes, rows = Codes.encoding(families)
-        assert codes.points == Codes([v for family in families for v in family]).points
-        assert rows == [codes.encode(family) for family in families]
-
     def test_endpoints_whose_floats_tie_keep_their_order(self):
         # 1/(2^64+1) < 1/2^64 round to one float, and so do their complements and 1.
         a, b = Fraction(1, 2**64 + 1), Fraction(1, 2**64)
