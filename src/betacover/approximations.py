@@ -10,6 +10,11 @@ complementary neighborhood (kind 2), both (kind 3) or either (kind 4)
 meets the target.  A target with an endpoint the space's codes do not
 number (one on a finer grid, say) widens the codes for that call.
 
+``fuzzy_on_codes`` and ``crisp_on_mask`` are the operators on codes and
+bitmasks themselves, for a caller that keeps its sets in that form (the
+audit does); the four public operators encode a target, call them and
+decode the result.
+
 Each lower operator is the literal dual lower(X) = upper(X^c)^c of its
 upper operator, on the target's codes or mask.  In the kind-4 fuzzy case
 the upper kernel reads ``((N or M) and X)``, so the lower kernel is
@@ -23,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import and_, not_, or_
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
 from .fuzzysets import CrispSubset, IVFuzzySet
+from .intervals import Codes
 from .neighborhoods import NeighborhoodSystem
 from .space import SoftSpace
 
@@ -72,18 +78,29 @@ def _prepare(space: SoftSpace, kind, target: Target, system) -> Tuple[Kind, Neig
 
 def _fuzzy_codes(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet):
     """The codes, the kind's kernel codes and the target's codes, widened if the target needs it."""
-    codes, kernel = ns.codes, ns.kernel_codes(kind)
+    codes = ns.codes
     try:
-        return codes, kernel, codes.encode(target.grades)
+        return codes, ns.kernel_codes(kind), codes.encode(target.grades)
     except KeyError:  # an endpoint the space's codes do not number
         codes, remap = codes.widen(target.grades)
-        kernel = tuple(tuple(tuple(map(remap.__getitem__, row)) for row in half) for half in kernel)
-        return codes, kernel, codes.encode(target.grades)
+        return codes, ns.kernel_codes(kind, remap), codes.encode(target.grades)
 
 
 def _fuzzy_upper(kernel, target):
     """Per object: the join over y of (kernel(y) meet target(y)), on low and high codes."""
     return tuple(tuple(max(map(min, row, t)) for row in half) for half, t in zip(kernel, target))
+
+
+def fuzzy_on_codes(codes: Codes, kernel, target, lower: bool = False):
+    """The fuzzy upper approximation of a target, or its dual lower one, on endpoint codes.
+
+    ``kernel`` is a kind's ``(lows, highs)`` code matrices and ``target`` the
+    ``(lows, highs)`` code tuples of a fuzzy set, both under ``codes``; so is
+    the result.
+    """
+    if lower:
+        return codes.complement(*_fuzzy_upper(kernel, codes.complement(*target)))
+    return _fuzzy_upper(kernel, target)
 
 
 # How an object's two hits - its crisp neighborhood meets the target, its
@@ -103,8 +120,17 @@ def _crisp_hits(ns: NeighborhoodSystem, kind: Kind, target: int) -> Iterator[boo
     return map(_HITS[kind], n_hits, m_hits)
 
 
-def _mask(target: CrispSubset) -> int:
-    return sum(map((1).__lshift__, map(target.universe.index, target.members)))
+def _crisp_members(ns: NeighborhoodSystem, kind: Kind, target: int, lower: bool) -> Iterator[bool]:
+    """Per object, whether it is in the upper approximation of a bitmask target, or the lower."""
+    if lower:
+        outside = ((1 << len(ns.crisp_sets)) - 1) ^ target
+        return map(not_, _crisp_hits(ns, kind, outside))
+    return _crisp_hits(ns, kind, target)
+
+
+def crisp_on_mask(ns: NeighborhoodSystem, kind: Kind, target: int, lower: bool = False) -> int:
+    """The crisp upper approximation of a bitmask target, or its dual lower one, as a bitmask."""
+    return sum(compress(map((1).__lshift__, count()), _crisp_members(ns, kind, target, lower)))
 
 
 def fuzzy_lower(
@@ -116,8 +142,7 @@ def fuzzy_lower(
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind, ns = _prepare(space, kind, target, system)
     codes, kernel, x = _fuzzy_codes(ns, kind, target)
-    lower = codes.complement(*_fuzzy_upper(kernel, codes.complement(*x)))
-    return IVFuzzySet(target.universe, codes.decode(*lower))
+    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x, lower=True)))
 
 
 def fuzzy_upper(
@@ -129,7 +154,7 @@ def fuzzy_upper(
     """Per-object join over y of (kernel(y) and target(y))."""
     kind, ns = _prepare(space, kind, target, system)
     codes, kernel, x = _fuzzy_codes(ns, kind, target)
-    return IVFuzzySet(target.universe, codes.decode(*_fuzzy_upper(kernel, x)))
+    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x)))
 
 
 def crisp_lower(
@@ -140,9 +165,8 @@ def crisp_lower(
 ) -> CrispSubset:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind, ns = _prepare(space, kind, target, system)
-    u = target.universe
-    outside = ((1 << len(u)) - 1) ^ _mask(target)
-    return CrispSubset(u, frozenset(compress(u.objects, map(not_, _crisp_hits(ns, kind, outside)))))
+    members = _crisp_members(ns, kind, target.mask(), lower=True)
+    return CrispSubset(target.universe, frozenset(compress(target.universe.objects, members)))
 
 
 def crisp_upper(
@@ -153,8 +177,8 @@ def crisp_upper(
 ) -> CrispSubset:
     """Objects whose crisp neighborhoods of the kind meet the target."""
     kind, ns = _prepare(space, kind, target, system)
-    u = target.universe
-    return CrispSubset(u, frozenset(compress(u.objects, _crisp_hits(ns, kind, _mask(target)))))
+    members = _crisp_members(ns, kind, target.mask(), lower=False)
+    return CrispSubset(target.universe, frozenset(compress(target.universe.objects, members)))
 
 
 def approximate(

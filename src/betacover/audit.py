@@ -24,11 +24,11 @@ import operator
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .approximations import Kind, Target, crisp_lower, crisp_upper, fuzzy_lower, fuzzy_upper
+from .approximations import Kind, crisp_on_mask, fuzzy_on_codes
 from .errors import UnknownTheoremError
 from .fuzzysets import CrispSubset, IVFuzzySet, Universe
 from .generate import (
@@ -43,7 +43,7 @@ from .generate import (
     sample_interval,
     snap_candidates,
 )
-from .intervals import IntervalValue, complement, family_join, family_meet, leq_bool
+from .intervals import IntervalValue, family_join, family_meet, leq_bool
 from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
@@ -67,15 +67,8 @@ def _pass() -> CheckResult:
     return CheckResult(PASS)
 
 
-def _text(value) -> str:
-    """Detail text, built only on failure: a fuzzy set's document, a crisp set's sorted members."""
-    if isinstance(value, IVFuzzySet):
-        return str(set_to_doc(value))
-    return str(sorted(value.members) if isinstance(value, CrispSubset) else value)
-
-
 def _fail(**detail) -> CheckResult:
-    return CheckResult(FAIL, detail={k: _text(v) for k, v in detail.items()})
+    return CheckResult(FAIL, detail={k: str(v) for k, v in detail.items()})
 
 
 def _skip(reason: str) -> CheckResult:
@@ -120,17 +113,8 @@ def sample_inputs(ns: NeighborhoodSystem, rng: random.Random, grid_denominator: 
     probe = family_meet(family) if rng.random() < 0.5 else sample_interval(rng, d)
     space2 = _companion_space(space, rng)
     return CheckInputs(
-        fuzzy_x,
-        fuzzy_y,
-        crisp_x,
-        crisp_y,
-        hypothesis_x,
-        beta_low,
-        objects,
-        family,
-        extra_family,
-        probe,
-        space2,
+        fuzzy_x, fuzzy_y, crisp_x, crisp_y, hypothesis_x, beta_low, objects, family, extra_family,
+        probe, space2,
     )
 
 
@@ -155,7 +139,12 @@ def _companion_space(space: SoftSpace, rng: random.Random) -> Optional[SoftSpace
 
 
 class TrialContext:
-    """Per-trial caches: one neighborhood system, memoized approximations."""
+    """Per-trial caches: one neighborhood system, memoized approximations.
+
+    The set statements work in the code lattice: ``fuzzy`` holds the fuzzy
+    targets as ``(lows, highs)`` code tuples and ``crisp`` the crisp ones as
+    bitmasks, each built on first use, so memo keys are ints.
+    """
 
     def __init__(self, ns: NeighborhoodSystem, inputs: CheckInputs):
         self.ns = ns
@@ -163,21 +152,30 @@ class TrialContext:
         self.inputs = inputs
         self._memo: Dict[Hashable, object] = {}
 
-    def fl(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-        key = ("fl", kind.value, target.grades)
-        return self.cached(key, fuzzy_lower, self.space, kind, target, self.ns)
+    @cached_property
+    def _coded(self):
+        """The space's codes widened by the fuzzy targets' endpoints, and the kernels under them."""
+        fuzzy = (self.inputs.fuzzy_x, self.inputs.fuzzy_y, self.inputs.hypothesis_x)
+        codes, remap = self.ns.codes.widen(g for fs in fuzzy if fs for g in fs.grades)
+        if codes.top == self.ns.codes.top:  # no new endpoint: the kernels keep their codes
+            codes, remap = self.ns.codes, None
+        return codes, {k.value: self.ns.kernel_codes(k, remap) for k in Kind}
 
-    def fu(self, kind: Kind, target: IVFuzzySet) -> IVFuzzySet:
-        key = ("fu", kind.value, target.grades)
-        return self.cached(key, fuzzy_upper, self.space, kind, target, self.ns)
+    def _fuzzy(self, kind: Kind, target, lower: bool):
+        codes, kernels = self._coded
+        return fuzzy_on_codes(codes, kernels[kind.value], target, lower)
 
-    def cl(self, kind: Kind, target: CrispSubset) -> CrispSubset:
-        key = ("cl", kind.value, target.members)
-        return self.cached(key, crisp_lower, self.space, kind, target, self.ns)
+    def fl(self, kind: Kind, target):
+        return self.cached(("fl", kind.value, target), self._fuzzy, kind, target, True)
 
-    def cu(self, kind: Kind, target: CrispSubset) -> CrispSubset:
-        key = ("cu", kind.value, target.members)
-        return self.cached(key, crisp_upper, self.space, kind, target, self.ns)
+    def fu(self, kind: Kind, target):
+        return self.cached(("fu", kind.value, target), self._fuzzy, kind, target, False)
+
+    def cl(self, kind: Kind, target: int) -> int:
+        return self.cached(("cl", kind.value, target), crisp_on_mask, self.ns, kind, target, True)
+
+    def cu(self, kind: Kind, target: int) -> int:
+        return self.cached(("cu", kind.value, target), crisp_on_mask, self.ns, kind, target, False)
 
     def cached(self, key: Hashable, build: Callable[..., object], *args):
         try:
@@ -185,6 +183,31 @@ class TrialContext:
         except KeyError:
             value = self._memo[key] = build(*args)
             return value
+
+    @cached_property
+    def fuzzy(self) -> "_Sets":
+        codes, kernels = self._coded
+        u, top, inputs = self.space.universe, codes.top, self.inputs
+        x, y = codes.encode(inputs.fuzzy_x.grades), codes.encode(inputs.fuzzy_y.grades)
+        h = inputs.hypothesis_x and codes.encode(inputs.hypothesis_x.grades)
+        # h is bounded where N_x(x)^c <= h(x) <= N_x(x) at every x.
+        diag = ([row[i] for i, row in enumerate(half)] for half in kernels[1])
+        if h and not all(top - b <= p <= a and top - a <= q <= b for a, b, p, q in zip(*diag, *h)):
+            h = None
+        return _Sets(
+            "fl", "fu", "target", x, y, h, ((top,) * len(u),) * 2, ((0,) * len(u),) * 2,
+            _pointwise(max), _pointwise(min), _code_subset, lambda a: codes.complement(*a),
+            lambda a: set_to_doc(IVFuzzySet(u, codes.decode(*a))),
+        )
+
+    @cached_property
+    def crisp(self) -> "_Sets":
+        u = self.space.universe
+        full, x, y = (1 << len(u)) - 1, self.inputs.crisp_x.mask(), self.inputs.crisp_y.mask()
+        return _Sets(
+            "cl", "cu", "x", x, y, x, full, 0, operator.or_, operator.and_, _within,
+            full.__xor__, lambda m: sorted(u.objects[k] for k in _bits(m)),
+        )
 
 
 Checker = Callable[[TrialContext], CheckResult]
@@ -259,12 +282,10 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
 
 
 def _grades(ctx: TrialContext):
-    """The fuzzy reading: beta <= N_x(y); N_y below N_x entry by entry."""
+    """The fuzzy reading: beta <= N_x(y), tabled from the matrix; N_y below N_x entry by entry."""
     n, beta = ctx.ns.matrix, ctx.space.beta
-    return (
-        lambda x, y: leq_bool(beta, n[x][y]),
-        lambda y, x: all(map(leq_bool, n[y], n[x])),
-    )
+    cut = [[leq_bool(beta, g) for g in row] for row in n]
+    return (lambda x, y: cut[x][y]), (lambda y, x: all(map(leq_bool, n[y], n[x])))
 
 
 def _within(small: int, large: int) -> bool:
@@ -313,11 +334,8 @@ def _check_nmono(ctx: TrialContext) -> CheckResult:
 
 
 def _check_neq(ctx: TrialContext) -> CheckResult:
-    member, _ = _grades(ctx)
-    n = ctx.ns.matrix
-    return _nowhere(
-        ctx, ("x", "y"), lambda x, y: (member(x, y) and member(y, x)) != (n[x] == n[y])
-    )
+    (member, _), n = _grades(ctx), ctx.ns.matrix
+    return _nowhere(ctx, ("x", "y"), lambda x, y: (member(x, y) and member(y, x)) != (n[x] == n[y]))
 
 
 def _check_cneq(ctx: TrialContext) -> CheckResult:
@@ -416,126 +434,123 @@ _register(
 # -- fuzzy approximation operator properties ---------------------------------
 
 
-def _hypothesis_target(ctx: TrialContext) -> Optional[IVFuzzySet]:
-    """The sampled target, if it satisfies N_x(x)^c <= X(x) <= N_x(x) at every x."""
-    target = ctx.inputs.hypothesis_x
-    if target is None:
-        return None
-    for i, g in enumerate(target.grades):
-        diag = ctx.ns.matrix[i][i]
-        if not (leq_bool(complement(diag), g) and leq_bool(g, diag)):
-            return None
-    return target
+def _pointwise(combine: Callable[[int, int], int]):
+    """A lattice operation on code pairs: ``combine`` on the low codes and on the high codes."""
+    return lambda a, b: (tuple(map(combine, a[0], b[0])), tuple(map(combine, a[1], b[1])))
+
+
+def _code_subset(a, b) -> bool:
+    return all(map(operator.le, a[0], b[0])) and all(map(operator.le, a[1], b[1]))
 
 
 @dataclass(frozen=True)
-class _Mode:
-    """What a statement shared by the fuzzy and crisp operators reads from a trial."""
+class _Sets:
+    """One trial's sets of one mode in the code lattice, and the operations statements use on them.
 
-    name: str  # "fuzzy" | "crisp"
+    A fuzzy set is a ``(lows, highs)`` pair of code tuples and a crisp set a
+    bitmask; ``render`` gives a set's detail text, on failure only.
+    """
+
     lower: str  # memoized TrialContext operators
     upper: str
-    x: str  # CheckInputs fields holding the two sampled targets
-    y: str
     key: str  # detail key of the target in a one-target statement
-    bounded: Callable[[TrialContext], Optional[Target]]  # target of L(X) in X in U(X), or None
-    full: Callable[[Universe], Target]  # the full and the empty set of a universe
-    empty: Callable[[Universe], Target]
+    x: object  # the two sampled targets
+    y: object
+    bounded: object  # the target of L(X) in X in U(X), or None
+    full: object
+    empty: object
+    join: Callable
+    meet: Callable
+    subset: Callable
+    complement: Callable
+    render: Callable
+
+    def chain(self, *sets) -> bool:
+        """Each set is a subset of the next."""
+        return all(map(self.subset, sets, sets[1:]))
+
+    def verdict(self, ok: bool, **detail) -> CheckResult:
+        return _pass() if ok else _fail(**{k: self.render(v) for k, v in detail.items()})
 
 
-_FUZZY = _Mode("fuzzy", "fl", "fu", "fuzzy_x", "fuzzy_y", "target", _hypothesis_target,
-               IVFuzzySet.top, IVFuzzySet.bottom)
-_CRISP = _Mode("crisp", "cl", "cu", "crisp_x", "crisp_y", "x",
-               operator.attrgetter("inputs.crisp_x"), CrispSubset.full, CrispSubset.empty)
+# The modes a statement shared by the fuzzy and crisp operators is bound to,
+# each the name of the TrialContext property holding the trial's sets.
+_FUZZY, _CRISP = "fuzzy", "crisp"
 
 _UNBOUNDED = "boundedness hypothesis infeasible or unsatisfied"
 
 
-def _bind(ctx: TrialContext, mode: _Mode, kind: Kind):
-    """The mode's lower and upper operators of one kind, and its two targets."""
-    lower = partial(getattr(ctx, mode.lower), kind)
-    upper = partial(getattr(ctx, mode.upper), kind)
-    return lower, upper, getattr(ctx.inputs, mode.x), getattr(ctx.inputs, mode.y)
-
-
-def _chain(*sets) -> bool:
-    """Each set is a subset of the next."""
-    return all(a.is_subset(b) for a, b in zip(sets, sets[1:]))
+def _bind(ctx: TrialContext, mode: str, kind: Kind):
+    """The mode's lower and upper operators of one kind, and the trial's sets of the mode."""
+    s = getattr(ctx, mode)
+    return partial(getattr(ctx, s.lower), kind), partial(getattr(ctx, s.upper), kind), s
 
 
 # Each property below is checked by a function of (mode, kind, trial);
 # the registry holds it with the mode and kind bound.
 
 
-def _law_bounds(
-    fixed: Sequence[Tuple[str, str]], mode: _Mode, kind: Kind, ctx: TrialContext
-) -> CheckResult:
+def _law_bounds(fixed: Sequence[Tuple[str, str]], mode: str, kind: Kind, ctx: TrialContext):
     """In each ``(operator, set)`` pair the operator maps the full or empty set to itself."""
-    u = ctx.space.universe
-    lower, upper, _, _ = _bind(ctx, mode, kind)
-    ops, sets = {"lower": lower, "upper": upper}, {"full": mode.full(u), "empty": mode.empty(u)}
-    return _verdict(all(ops[op](sets[s]) == sets[s] for op, s in fixed))
+    lower, upper, s = _bind(ctx, mode, kind)
+    ops, sets = {"lower": lower, "upper": upper}, {"full": s.full, "empty": s.empty}
+    return _verdict(all(ops[op](sets[name]) == sets[name] for op, name in fixed))
 
 
-def _law_dual(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, x, _ = _bind(ctx, mode, kind)
-    xc = x.complement()
-    ok = lower(xc) == upper(x).complement() and upper(xc) == lower(x).complement()
-    return _verdict(ok, **{mode.key: x})
+def _law_dual(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    x, xc = s.x, s.complement(s.x)
+    ok = lower(xc) == s.complement(upper(x)) and upper(xc) == s.complement(lower(x))
+    return s.verdict(ok, **{s.key: x})
 
 
-def _law_morphism(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, x, y = _bind(ctx, mode, kind)
-    ok = (
-        lower(x.intersect(y)) == lower(x).intersect(lower(y))
-        and upper(x.union(y)) == upper(x).union(upper(y))
-    )
-    return _verdict(ok, x=x, y=y)
+def _law_morphism(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    x, y = s.x, s.y
+    ok = lower(s.meet(x, y)) == s.meet(lower(x), lower(y))
+    ok = ok and upper(s.join(x, y)) == s.join(upper(x), upper(y))
+    return s.verdict(ok, x=x, y=y)
 
 
-def _law_monotone(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, x, y = _bind(ctx, mode, kind)
-    big = x.union(y)
-    ok = lower(x).is_subset(lower(big)) and upper(x).is_subset(upper(big))
-    return _verdict(ok, small=x, large=big)
+def _law_monotone(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    x, big = s.x, s.join(s.x, s.y)
+    ok = s.subset(lower(x), lower(big)) and s.subset(upper(x), upper(big))
+    return s.verdict(ok, small=x, large=big)
 
 
-def _law_subdistributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, x, y = _bind(ctx, mode, kind)
-    ok = (
-        lower(x).union(lower(y)).is_subset(lower(x.union(y)))
-        and upper(x.intersect(y)).is_subset(upper(x).intersect(upper(y)))
-    )
-    return _verdict(ok, x=x, y=y)
+def _law_subdistributive(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    x, y = s.x, s.y
+    ok = s.subset(s.join(lower(x), lower(y)), lower(s.join(x, y)))
+    ok = ok and s.subset(upper(s.meet(x, y)), s.meet(upper(x), upper(y)))
+    return s.verdict(ok, x=x, y=y)
 
 
-def _law_inclusion(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, _, _ = _bind(ctx, mode, kind)
-    target = mode.bounded(ctx)
+def _law_inclusion(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    target = s.bounded
     if target is None:
         return _skip(_UNBOUNDED)
-    ok = _chain(lower(target), target, upper(target))
-    return _verdict(ok, **{mode.key: target})
+    return s.verdict(s.chain(lower(target), target, upper(target)), **{s.key: target})
 
 
-def _law_iteration(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, _, _ = _bind(ctx, mode, kind)
-    target = mode.bounded(ctx)
+def _law_iteration(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    target = s.bounded
     if target is None:
         return _skip(_UNBOUNDED)
     low, up = lower(target), upper(target)
-    ok = _chain(lower(low), low, target, up, upper(up))
-    return _verdict(ok, **{mode.key: target})
+    ok = s.chain(lower(low), low, target, up, upper(up))
+    return s.verdict(ok, **{s.key: target})
 
 
-def _law_nested_distributive(mode: _Mode, kind: Kind, ctx: TrialContext) -> CheckResult:
-    lower, upper, x, y = _bind(ctx, mode, kind)
-    y = x.union(y)  # guarantees x subset y
-    ok = (
-        lower(x).union(lower(y)) == lower(x.union(y))
-        and upper(x.intersect(y)) == upper(x).intersect(upper(y))
-    )
-    return _verdict(ok, small=x, large=y)
+def _law_nested_distributive(mode: str, kind: Kind, ctx: TrialContext) -> CheckResult:
+    lower, upper, s = _bind(ctx, mode, kind)
+    x, y = s.x, s.join(s.x, s.y)  # guarantees x subset y
+    ok = s.join(lower(x), lower(y)) == lower(s.join(x, y))
+    ok = ok and upper(s.meet(x, y)) == s.meet(upper(x), upper(y))
+    return s.verdict(ok, small=x, large=y)
 
 
 _A_PROPS = {
@@ -593,51 +608,41 @@ for _kind in Kind:
 
 # -- relationships between the four kinds -------------------------------------
 
-# Each row relates the operators of the four kinds on one target; ``lo(k)``
-# and ``up(k)`` are the kind-k lower and upper approximations of it.
+# Each row relates the operators of the four kinds on one target: ``s`` is
+# the trial's sets, ``lo(k)`` and ``up(k)`` the kind-k approximations.
 _REL_ROWS = {
-    1: ("lower3 equals lower1 union lower2", lambda lo, up: lo(3) == lo(1).union(lo(2))),
-    2: ("upper3 equals upper1 intersect upper2", lambda lo, up: up(3) == up(1).intersect(up(2))),
-    3: ("lower4 equals lower1 intersect lower2", lambda lo, up: lo(4) == lo(1).intersect(lo(2))),
-    4: ("upper4 equals upper1 union upper2", lambda lo, up: up(4) == up(1).union(up(2))),
-    5: ("lower4 in lower1 in lower3", lambda lo, up: _chain(lo(4), lo(1), lo(3))),
-    6: ("lower4 in lower2 in lower3", lambda lo, up: _chain(lo(4), lo(2), lo(3))),
-    7: ("upper3 in upper1 in upper4", lambda lo, up: _chain(up(3), up(1), up(4))),
-    8: ("upper3 in upper2 in upper4", lambda lo, up: _chain(up(3), up(2), up(4))),
+    1: ("lower3 equals lower1 union lower2", lambda s, lo, up: lo(3) == s.join(lo(1), lo(2))),
+    2: ("upper3 equals upper1 intersect upper2", lambda s, lo, up: up(3) == s.meet(up(1), up(2))),
+    3: ("lower4 equals lower1 intersect lower2", lambda s, lo, up: lo(4) == s.meet(lo(1), lo(2))),
+    4: ("upper4 equals upper1 union upper2", lambda s, lo, up: up(4) == s.join(up(1), up(2))),
+    5: ("lower4 in lower1 in lower3", lambda s, lo, up: s.chain(lo(4), lo(1), lo(3))),
+    6: ("lower4 in lower2 in lower3", lambda s, lo, up: s.chain(lo(4), lo(2), lo(3))),
+    7: ("upper3 in upper1 in upper4", lambda s, lo, up: s.chain(up(3), up(1), up(4))),
+    8: ("upper3 in upper2 in upper4", lambda s, lo, up: s.chain(up(3), up(2), up(4))),
 }
 
 
-def _check_rel(mode: _Mode, relation: Callable, ctx: TrialContext) -> CheckResult:
-    lower, upper = getattr(ctx, mode.lower), getattr(ctx, mode.upper)
-    x = getattr(ctx.inputs, mode.x)
-    ok = relation(lambda k: lower(Kind(k), x), lambda k: upper(Kind(k), x))
-    return _verdict(ok, target=x)
+def _check_rel(mode: str, relation: Callable, ctx: TrialContext) -> CheckResult:
+    s = getattr(ctx, mode)
+    lower, upper, x = getattr(ctx, s.lower), getattr(ctx, s.upper), s.x
+    ok = relation(s, lambda k: lower(Kind(k), x), lambda k: upper(Kind(k), x))
+    return s.verdict(ok, target=x)
 
 
 for _mode, _tag in ((_FUZZY, "F"), (_CRISP, "C")):
     for _i, (_stmt, _relation) in _REL_ROWS.items():
-        _register(
-            f"REL-{_tag}{_i}",
-            f"{_mode.name} {_stmt}",
-            partial(_check_rel, _mode, _relation),
-        )
+        _register(f"REL-{_tag}{_i}", f"{_mode} {_stmt}", partial(_check_rel, _mode, _relation))
 
 
 @_law("SANDWICH", "bounded targets: lower4 in lower2 in lower3 in X in upper3 in upper1 in upper4")
 def _check_sandwich(ctx: TrialContext) -> CheckResult:
-    target = _hypothesis_target(ctx)
+    s, target = ctx.fuzzy, ctx.fuzzy.bounded
     if target is None:
         return _skip(_UNBOUNDED)
-    ok = _chain(
-        ctx.fl(Kind.K4, target),
-        ctx.fl(Kind.K2, target),
-        ctx.fl(Kind.K3, target),
-        target,
-        ctx.fu(Kind.K3, target),
-        ctx.fu(Kind.K1, target),
-        ctx.fu(Kind.K4, target),
-    )
-    return _verdict(ok, target=target)
+    lower = [ctx.fl(Kind(k), target) for k in (4, 2, 3)]
+    upper = [ctx.fu(Kind(k), target) for k in (3, 1, 4)]
+    ok = s.chain(*lower, target, *upper)
+    return s.verdict(ok, target=target)
 
 
 @_law("TWO-SPACE", "equal crisp neighborhoods give equal kind-1 crisp approximations across spaces")
@@ -648,13 +653,10 @@ def _check_two_space(ctx: TrialContext) -> CheckResult:
     ns2 = NeighborhoodSystem(other)
     if ctx.ns.crisp_sets != ns2.crisp_sets:
         return _skip("companion space has different crisp neighborhoods")
-    x = ctx.inputs.crisp_x
-    x2 = CrispSubset(other.universe, x.members)
-    ok = (
-        ctx.cl(Kind.K1, x).members == crisp_lower(other, Kind.K1, x2, ns2).members
-        and ctx.cu(Kind.K1, x).members == crisp_upper(other, Kind.K1, x2, ns2).members
-    )
-    return _verdict(ok, target=x)
+    s, x = ctx.crisp, ctx.crisp.x
+    ok = ctx.cl(Kind.K1, x) == crisp_on_mask(ns2, Kind.K1, x, lower=True)
+    ok = ok and ctx.cu(Kind.K1, x) == crisp_on_mask(ns2, Kind.K1, x)
+    return s.verdict(ok, target=x)
 
 
 # -- strictness witnesses ------------------------------------------------------
@@ -680,10 +682,11 @@ def _check_w_union_strict(ctx: TrialContext) -> CheckResult:
     "witness",
 )
 def _check_w_lower_strict(ctx: TrialContext) -> CheckResult:
-    x, y = ctx.inputs.fuzzy_x, ctx.inputs.fuzzy_y
-    lhs = ctx.fl(Kind.K1, x).union(ctx.fl(Kind.K1, y))
-    rhs = ctx.fl(Kind.K1, x.union(y))
-    if lhs.is_subset(rhs) and lhs != rhs:
+    s = ctx.fuzzy
+    lhs = s.join(ctx.fl(Kind.K1, s.x), ctx.fl(Kind.K1, s.y))
+    rhs = ctx.fl(Kind.K1, s.join(s.x, s.y))
+    if s.subset(lhs, rhs) and lhs != rhs:
+        x, y = ctx.inputs.fuzzy_x, ctx.inputs.fuzzy_y
         return CheckResult(PASS, detail={"x": str(set_to_doc(x)), "y": str(set_to_doc(y))})
     return _skip("no strict instance for these inputs")
 
@@ -819,9 +822,10 @@ def shrink_counterexample(
         return space, inputs  # companion space makes projection ambiguous
     evals = 0
     improved = True
-    while improved and evals < _SHRINK_BUDGET:
+    while improved:
         improved = False
-        for candidate, cand_inputs in _shrink_candidates(space, inputs):
+        candidates = _shrink_candidates(space, inputs)
+        for candidate, cand_inputs in itertools.islice(candidates, _SHRINK_BUDGET - evals):
             evals += 1
             if check(theorem, candidate, cand_inputs).outcome == FAIL:
                 space, inputs = candidate, cand_inputs
@@ -856,9 +860,7 @@ class AuditReport:
 
     @property
     def law_failures(self) -> List[str]:
-        return [
-            t for t, s in self.stats.items() if s.status == "law" and s.failures > 0
-        ]
+        return [t for t, s in self.stats.items() if s.status == "law" and s.failures > 0]
 
     @property
     def ok(self) -> bool:
@@ -909,9 +911,7 @@ def run_audit(
         for t in ids:
             if t not in REGISTRY:
                 raise UnknownTheoremError(f"unknown theorem id {t!r}")
-    stats = {
-        t: TheoremStats(t, REGISTRY[t].statement, REGISTRY[t].status) for t in ids
-    }
+    stats = {t: TheoremStats(t, REGISTRY[t].statement, REGISTRY[t].status) for t in ids}
     start = time.perf_counter()
     for trial in range(trials):
         trial_config = replace(config, seed=_trial_seed(config.seed, trial))

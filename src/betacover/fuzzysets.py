@@ -136,6 +136,11 @@ class CrispSubset:
         return cls(universe, frozenset(members))
 
     @classmethod
+    def from_mask(cls, universe: Universe, mask: int) -> "CrispSubset":
+        """The objects of the mask's set bits: bit j stands for the j-th object."""
+        return cls(universe, frozenset(o for j, o in enumerate(universe.objects) if mask >> j & 1))
+
+    @classmethod
     def empty(cls, universe: Universe) -> "CrispSubset":
         return cls(universe, frozenset())
 
@@ -163,6 +168,10 @@ class CrispSubset:
     def is_subset(self, other: "CrispSubset") -> bool:
         _require_same_universe(self, other)
         return self.members <= other.members
+
+    def mask(self) -> int:
+        """Bitmask of the members, bit j for the j-th object; ``from_mask`` reads it back."""
+        return sum(map((1).__lshift__, map(self.universe.index, self.members)))
 
     def sorted_members(self) -> Tuple[str, ...]:
         """Members in canonical universe order."""

@@ -352,8 +352,12 @@ class Codes:
             if (d - n, d) not in found:
                 found[d - n, d] = Fraction(d - n, d)
         # Division rounds monotonically: the floats order all but near ties,
-        # which fall to the exact Fraction compare.
-        self.points = tuple(p for _, p in sorted((n / d, p) for (n, d), p in found.items()))
+        # which fall to the exact Fraction compare.  The tuple is built from a
+        # list, at its exact length: one built from a generator starts at 10
+        # slots and is resized, and a resized 11..19-slot tuple, once freed,
+        # waits on a free list that only tuples made at that length draw from,
+        # so an audit run of grid-10 trials kept up to 2000 of them (256 KB).
+        self.points = tuple([p for _, p in sorted((n / d, p) for (n, d), p in found.items())])
         self.top = len(self.points) - 1
         self._index = {p.as_integer_ratio(): k for k, p in enumerate(self.points)}
 

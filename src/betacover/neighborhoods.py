@@ -21,7 +21,7 @@ gives the fuzzy matrix alone, for any mapping and beta.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import Codes, IntervalValue, leq_bool
@@ -99,10 +99,14 @@ class NeighborhoodSystem:
         b_lo, b_hi = self._beta
         return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
 
-    def kernel_codes(self, kind) -> Tuple[_CodeMatrix, _CodeMatrix]:
+    def kernel_codes(
+        self, kind, remap: Optional[Sequence[int]] = None
+    ) -> Tuple[_CodeMatrix, _CodeMatrix]:
         """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
 
         ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.
+        Given the ``remap`` of a widening of ``codes`` (``Codes.widen``), the
+        codes are those of the wider table.
         """
         kind = getattr(kind, "value", kind)
         if kind not in self._kernel_codes:
@@ -112,7 +116,10 @@ class NeighborhoodSystem:
                 tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))
                 for n, m in zip(self._kernel_codes[1], self._kernel_codes[2])
             )
-        return self._kernel_codes[kind]
+        kernel = self._kernel_codes[kind]
+        if remap is None:
+            return kernel
+        return tuple(tuple(tuple(map(remap.__getitem__, row)) for row in half) for half in kernel)
 
     def kernel(self, kind) -> Matrix:
         """The ``IntervalValue`` matrix of ``kernel_codes(kind)``."""
@@ -142,16 +149,13 @@ class NeighborhoodSystem:
         """Bitmask of each object's crisp complementary neighborhood."""
         return self._crisp_co
 
-    def _crisp_subset(self, masks: Tuple[int, ...], obj: str) -> CrispSubset:
-        u = self.space.universe
-        mask = masks[u.index(obj)]
-        return CrispSubset(u, frozenset(o for j, o in enumerate(u.objects) if mask >> j & 1))
-
     def crisp_neighborhood(self, obj: str) -> CrispSubset:
-        return self._crisp_subset(self._crisp, obj)
+        u = self.space.universe
+        return CrispSubset.from_mask(u, self._crisp[u.index(obj)])
 
     def complementary_crisp_neighborhood(self, obj: str) -> CrispSubset:
-        return self._crisp_subset(self._crisp_co, obj)
+        u = self.space.universe
+        return CrispSubset.from_mask(u, self._crisp_co[u.index(obj)])
 
     def matrix_json(self) -> Dict[str, Dict[str, str]]:
         """Full fuzzy grade matrix as nested text literals."""

@@ -2,6 +2,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from betacover import (
     GenConfig,
     IntervalValue,
+    IVFuzzySet,
     NeighborhoodSystem,
     UnknownTheoremError,
     all_theorem_ids,
@@ -20,13 +22,17 @@ from betacover import (
     shrink_counterexample,
 )
 from betacover.audit import (
+    _SHRINK_BUDGET,
     FAIL,
     PASS,
     REGISTRY,
     SKIP,
+    CheckResult,
+    TheoremSpec,
     TrialContext,
     _pass,
     _register,
+    _shrink_candidates,
     inputs_from_doc,
     inputs_to_doc,
 )
@@ -215,6 +221,61 @@ class TestTrialCosts:
         hash(Fraction(1, 3))
         assert calls == 1  # the wrapper is the hash Python calls
 
+    def test_trials_hash_no_interval_and_passing_checks_build_no_fuzzy_set(self, monkeypatch):
+        counts = {"hash": 0, "built": 0}
+
+        def counting(method, key):
+            def wrapped(value):
+                counts[key] += 1
+                return method(value)
+
+            return wrapped
+
+        monkeypatch.setattr(IntervalValue, "__hash__", counting(IntervalValue.__hash__, "hash"))
+        monkeypatch.setattr(
+            IVFuzzySet, "__post_init__", counting(IVFuzzySet.__post_init__, "built")
+        )
+        in_passing = []
+
+        def watched(checker, ctx):
+            before = counts["built"]
+            result = checker(ctx)
+            if result.outcome == PASS:
+                in_passing.append(counts["built"] - before)
+            return result
+
+        for theorem, spec in list(REGISTRY.items()):
+            checker = partial(watched, spec.checker)
+            monkeypatch.setitem(REGISTRY, theorem, replace(spec, checker=checker))
+        cfg = GenConfig(universe_size=6, parameter_count=5, grid_denominator=20, seed=202)
+        run_audit(cfg, trials=20)
+        assert counts["hash"] == 0
+        assert len(in_passing) > 1000 and sum(in_passing) == 0
+        hash(IntervalValue.point(0))
+        assert counts["hash"] == 1  # the wrapper is the hash Python calls
+
+    def test_memo_calls_and_hits_are_pinned(self, monkeypatch):
+        # 100 trials of each criterion-2 config; a hit adds no memo entry.
+        counts = {"calls": 0, "hits": 0}
+
+        def counting(method):
+            def wrapped(ctx, *args):
+                before = len(ctx._memo)
+                result = method(ctx, *args)
+                counts["calls"] += 1
+                counts["hits"] += len(ctx._memo) == before
+                return result
+
+            return wrapped
+
+        for name in ("fl", "fu", "cl", "cu"):
+            monkeypatch.setattr(TrialContext, name, counting(getattr(TrialContext, name)))
+        run_audit(GenConfig(universe_size=4, parameter_count=3, grid_denominator=10, seed=101),
+                  trials=100)
+        run_audit(GenConfig(universe_size=6, parameter_count=5, grid_denominator=20, seed=202),
+                  trials=100)
+        assert counts == {"calls": 58897, "hits": 37402}
+
     def test_passing_set_checks_render_no_detail(self, monkeypatch, derived_space):
         ids = [t for t in all_theorem_ids() if re.match(r"(C?A\d-P|REL-)", t)]
         cases = [(derived_space, make_inputs(derived_space))]
@@ -269,6 +330,23 @@ class TestShrinking:
         assert check("REL-F1", space2, inputs2).outcome == FAIL
         assert len(space2.universe) <= len(kind3_gap_space.universe)
         assert len(space2.parameters) <= len(kind3_gap_space.parameters)
+
+    def test_a_long_first_pass_stops_at_the_budget(self, monkeypatch):
+        space = gen_space(GenConfig(universe_size=14, parameter_count=10, seed=5))
+        inputs = make_inputs(space)
+        assert sum(1 for _ in _shrink_candidates(space, inputs)) > _SHRINK_BUDGET
+        calls = 0
+
+        def only_the_original_fails(ctx):
+            nonlocal calls
+            calls += 1
+            original = ctx.space is space and ctx.inputs is inputs
+            return CheckResult(FAIL) if original else _pass()
+
+        stand_in = TheoremSpec("STAND-IN", "fails on one instance", "law", only_the_original_fails)
+        monkeypatch.setitem(REGISTRY, "STAND-IN", stand_in)
+        assert shrink_counterexample("STAND-IN", space, inputs) == (space, inputs)
+        assert 0 < calls <= _SHRINK_BUDGET
 
     def test_shrunk_space_is_still_a_valid_covering(self):
         cfg = GenConfig(universe_size=5, parameter_count=4, seed=23)

@@ -320,6 +320,19 @@ class TestUncheckedResults:
                 op(bad)
 
 
+# A trial widens its space's codes once by its sampled targets, whose
+# endpoints may lie off the space's grid: thirds, or the shrinker's 1/2.
+off_grid = st.sampled_from((2, 3, 6)).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d))
+)
+
+
+@st.composite
+def off_grid_intervals(draw):
+    lo, hi = sorted((draw(off_grid), draw(off_grid)))
+    return IntervalValue(lo, hi)
+
+
 class TestCodes:
     """Codes stand for endpoints by their order, and decode to the checked intervals.
 
@@ -366,6 +379,24 @@ class TestCodes:
         wider, remap = codes.widen(extra)
         assert [wider.points[k] for k in remap] == list(codes.points)
         assert wider.decode(*wider.encode(extra)) == tuple(extra)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=4),
+           st.lists(st.one_of(mixed_intervals(), off_grid_intervals()), min_size=1, max_size=4))
+    def test_codes_widened_per_trial_agree_with_the_interval_operations(self, family, extra):
+        codes = Codes(family)
+        wider, remap = codes.widen(extra)
+        lows, highs = codes.encode(family)
+        assert wider.encode(family) == (tuple(map(remap.__getitem__, lows)),
+                                        tuple(map(remap.__getitem__, highs)))
+        values = [*family, *extra]
+        coded = list(zip(*wider.encode(values)))
+        for v, (a, b) in zip(values, coded):
+            assert wider.decode(*wider.complement((a,), (b,))) == (complement(v),)
+            for w, (c, d) in zip(values, coded):
+                assert wider.decode((min(a, c),), (min(b, d),)) == (meet(v, w),)
+                assert wider.decode((max(a, c),), (max(b, d),)) == (join(v, w),)
+                assert (a <= c and b <= d) == leq_bool(v, w)
 
     def test_endpoints_whose_floats_tie_keep_their_order(self):
         # 1/(2^64+1) < 1/2^64 round to one float, and so do their complements and 1.

@@ -220,3 +220,42 @@ def test_the_operator_guard_sees_every_form(tmp_path):
         "import betacover.intervals",
         "from betacover.intervals import family_join",
     ]
+
+
+# The audit's set statements work on endpoint codes and bitmasks; of the
+# interval layer it takes only what the interval-family lemma and the
+# neighborhood laws read.
+AUDIT_INTERVAL_IMPORTS = {"IntervalValue", "leq_bool", "family_meet", "family_join"}
+
+
+def audit_interval_imports(path: Path) -> list:
+    """(line, text) for each interval-layer import beyond AUDIT_INTERVAL_IMPORTS."""
+    return [
+        (line, text)
+        for line, text, _, name in imports_from(path, {"betacover.intervals"})
+        if name not in AUDIT_INTERVAL_IMPORTS
+    ]
+
+
+def test_the_audit_takes_only_the_laws_interval_operations():
+    assert audit_interval_imports(PACKAGE / "audit.py") == []
+
+
+def test_the_audit_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import IntervalValue, family_meet, join\n"
+        "from .intervals import leq_bool as le, complement\n"
+        "from . import intervals\n"
+        "import betacover.intervals\n"
+        "def f():\n"
+        "    from betacover.intervals import Codes, meet\n"
+    )
+    assert [text for _, text in audit_interval_imports(sample)] == [
+        "from betacover.intervals import join",
+        "from betacover.intervals import complement",
+        "from betacover import intervals",
+        "import betacover.intervals",
+        "from betacover.intervals import Codes",
+        "from betacover.intervals import meet",
+    ]
