@@ -159,23 +159,23 @@ class TrialContext:
         codes, remap = self.ns.codes.widen(g for fs in fuzzy if fs for g in fs.grades)
         if codes.top == self.ns.codes.top:  # no new endpoint: the kernels keep their codes
             codes, remap = self.ns.codes, None
-        return codes, {k.value: self.ns.kernel_codes(k, remap) for k in Kind}
+        return codes, {k: self.ns.kernel_codes(k, remap) for k in Kind}
 
     def _fuzzy(self, kind: Kind, target, lower: bool):
         codes, kernels = self._coded
-        return fuzzy_on_codes(codes, kernels[kind.value], target, lower)
+        return fuzzy_on_codes(codes, kernels[kind], target, lower)
 
     def fl(self, kind: Kind, target):
-        return self.cached(("fl", kind.value, target), self._fuzzy, kind, target, True)
+        return self.cached(("fl", kind, target), self._fuzzy, kind, target, True)
 
     def fu(self, kind: Kind, target):
-        return self.cached(("fu", kind.value, target), self._fuzzy, kind, target, False)
+        return self.cached(("fu", kind, target), self._fuzzy, kind, target, False)
 
     def cl(self, kind: Kind, target: int) -> int:
-        return self.cached(("cl", kind.value, target), crisp_on_mask, self.ns, kind, target, True)
+        return self.cached(("cl", kind, target), crisp_on_mask, self.ns, kind, target, True)
 
     def cu(self, kind: Kind, target: int) -> int:
-        return self.cached(("cu", kind.value, target), crisp_on_mask, self.ns, kind, target, False)
+        return self.cached(("cu", kind, target), crisp_on_mask, self.ns, kind, target, False)
 
     def cached(self, key: Hashable, build: Callable[..., object], *args):
         try:
@@ -191,7 +191,7 @@ class TrialContext:
         x, y = codes.encode(inputs.fuzzy_x.grades), codes.encode(inputs.fuzzy_y.grades)
         h = inputs.hypothesis_x and codes.encode(inputs.hypothesis_x.grades)
         # h is bounded where N_x(x)^c <= h(x) <= N_x(x) at every x.
-        diag = ([row[i] for i, row in enumerate(half)] for half in kernels[1])
+        diag = ([row[i] for i, row in enumerate(half)] for half in kernels[Kind.K1])
         if h and not all(top - b <= p <= a and top - a <= q <= b for a, b, p, q in zip(*diag, *h)):
             h = None
         return _Sets(
@@ -284,7 +284,7 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
 def _grades(ctx: TrialContext):
     """The fuzzy reading: beta <= N_x(y), tabled from the matrix; N_y below N_x entry by entry."""
     n, beta = ctx.ns.matrix, ctx.space.beta
-    cut = [[leq_bool(beta, g) for g in row] for row in n]
+    cut = ctx.cached("beta-cut", lambda: [[leq_bool(beta, g) for g in row] for row in n])
     return (lambda x, y: cut[x][y]), (lambda y, x: all(map(leq_bool, n[y], n[x])))
 
 

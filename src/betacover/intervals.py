@@ -21,7 +21,8 @@ Meet, join, the order and the complement read only the order of
 endpoints, so ``Codes`` numbers the endpoints of a finite family (closed
 under ``1 - x``) and the neighborhood system and the operators work on
 those ints with ``min``, ``max`` and ``<=``, decoding to ``IntervalValue``
-only where a result is read.
+only where a result is read.  ``scaled_endpoints`` gives the definition-
+literal oracle its own exact ints: endpoints over one common denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import EmptyFamilyError, excerpt
 
@@ -325,6 +327,32 @@ def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
     """Componentwise supremum over a nonempty family."""
     items = _members(family, "family_join")
     return _unchecked(_greatest([i.lo for i in items]), _greatest([i.hi for i in items]))
+
+
+# -- endpoints over one common denominator ----------------------------------
+
+
+def scaled_endpoints(
+    values: Iterable[IntervalValue], base: int = 1
+) -> Tuple[int, List[int], List[int], Dict[int, Fraction]]:
+    """The values' endpoints as ints over one common denominator.
+
+    Returns ``(d, lows, highs, points)``: ``d`` is the least common multiple
+    of ``base`` and every endpoint's denominator, ``lows[i]`` and ``highs[i]``
+    are ``d`` times the i-th value's endpoints, and ``points`` maps each of
+    those ints back to its endpoint.  Over one ``d`` the ints keep the
+    endpoints' order, and ``1 - x`` scales to ``d - k``.
+    """
+    values = list(values)
+    d = lcm(base, *{x.denominator for v in values for x in (v.lo, v.hi)})
+    lows, highs, points = [], [], {}
+    for v in values:
+        for x, out in ((v.lo, lows), (v.hi, highs)):
+            num, den = x.as_integer_ratio()
+            k = num * (d // den)
+            out.append(k)
+            points[k] = x
+    return d, lows, highs, points
 
 
 # -- order-preserving endpoint codes ----------------------------------------

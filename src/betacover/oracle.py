@@ -1,10 +1,21 @@
 """Definition-literal slow path and the scalar degenerate-case oracle.
 
-Everything here transcribes the defining formulas directly, composing
-the interval algebra one step at a time and recomputing neighborhoods
-from the raw parameter sets.  It shares no code with the matrix-based
-fast path in ``approximations``, so exact agreement between the two is
-a meaningful check rather than a tautology.
+The interval operators are computed here from their defining formulas, on
+exact ints.  Once per space, beta and every parameter-set endpoint are put
+over their least common denominator D (``scaled_endpoints``), so an endpoint
+p/q is the int p*D/q: endpoints order as their ints do, the complement
+[1-hi, 1-lo] is [D-hi, D-lo], and meet and join are int ``min`` and ``max``.
+The neighborhoods are recomputed from the raw parameter sets by the literal
+fold, the meet of every F(e) with beta <= F(e)(x), or [1,1] everywhere when
+no set qualifies.  An operator call scales only its target, and rescales the
+space's rows only when a target denominator does not divide D.  Each lower
+operator is evaluated from its own formula, not as the dual of an upper one,
+and results come back as checked ``IntervalValue`` instances.
+
+None of this uses the interval algebra (``meet``, ``join``, ``complement``,
+``leq_bool``) or the endpoint codes that the matrix-based fast path in
+``approximations`` encodes from and decodes to, so exact agreement between
+the two routes is a meaningful check rather than a tautology.
 
 The scalar functions implement an ordinary (non-interval) fuzzy
 beta-covering with plain rational grades.  When every grade and beta is
@@ -15,103 +26,211 @@ scalar ones pointwise; acceptance tests drive that comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping
+from itertools import chain
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .approximations import Kind
+from .errors import UniverseMismatchError
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import IntervalValue, complement, family_join, family_meet, join, leq_bool, meet
-from .neighborhoods import crisp_of
+from .intervals import IntervalValue, scaled_endpoints
 from .space import SoftSpace
 
-
-def oracle_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    """Literal fold: intersect every F(e) with beta <= F(e)(obj)."""
-    selected = [
-        fs for fs in space.mapping.assignment if leq_bool(space.beta, fs.grade(obj))
-    ]
-    if not selected:
-        return IVFuzzySet.top(space.universe)
-    result = selected[0]
-    for fs in selected[1:]:
-        result = result.intersect(fs)
-    return result
+# A fuzzy set over the space's universe as two rows of scaled ints: its
+# low endpoints and its high endpoints, in universe order.
+Row = Tuple[Sequence[int], Sequence[int]]
 
 
-def oracle_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return crisp_of(oracle_fuzzy_neighborhood(space, obj), space.beta)
+def _transpose(n: List[Row]) -> List[Row]:
+    """The complementary rows: ``m[x](y)`` is ``n[y](x)``."""
+    return list(zip(zip(*(lows for lows, _ in n)), zip(*(highs for _, highs in n))))
 
 
-def oracle_complementary_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    rows = {y: oracle_fuzzy_neighborhood(space, y) for y in space.universe}
-    return IVFuzzySet.from_dict(
-        space.universe, {y: rows[y].grade(obj) for y in space.universe}
-    )
+class _Scale(NamedTuple):
+    """A space's neighborhood rows as ints over the denominator ``d``.
 
-
-def oracle_complementary_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return crisp_of(oracle_complementary_fuzzy_neighborhood(space, obj), space.beta)
-
-
-def oracle_fuzzy_tables(space: SoftSpace):
-    """Both fuzzy neighborhood tables, computed the definition-literal way.
-
-    Callers doing many operator evaluations on one space can pass the
-    result through ``tables=`` to skip recomputation.
+    ``n[i]`` is the i-th object's fuzzy neighborhood and ``m[i]`` its
+    complementary one.  ``points`` maps the rows' endpoints, as ints over
+    the space's own denominator ``d // factor``, to their ``Fraction``.
     """
-    n = {x: oracle_fuzzy_neighborhood(space, x) for x in space.universe}
-    m = {
-        x: IVFuzzySet.from_dict(space.universe, {y: n[y].grade(x) for y in space.universe})
-        for x in space.universe
-    }
-    return n, m
+
+    d: int
+    factor: int
+    beta: Tuple[int, int]
+    n: List[Row]
+    m: List[Row]
+    points: Dict[int, Fraction]
+
+    def times(self, factor: int) -> "_Scale":
+        """The same rows over the denominator ``d * factor``."""
+        n = [([k * factor for k in lows], [k * factor for k in highs]) for lows, highs in self.n]
+        b_lo, b_hi = self.beta
+        return _Scale(
+            self.d * factor, self.factor * factor, (b_lo * factor, b_hi * factor), n,
+            _transpose(n), self.points,
+        )
+
+    def value(self, k: int, extra: Dict[int, Fraction]) -> Fraction:
+        """The endpoint the int ``k`` stands for: the target's (in ``extra``), the space's, or k/d.
+
+        An int over the space's own denominator that ``points`` lacks (the
+        complement of an endpoint, say) is added to it.
+        """
+        x = extra.get(k)
+        if x is not None:
+            return x
+        base, rest = divmod(k, self.factor)
+        if rest:
+            return Fraction(k, self.d)
+        x = self.points.get(base)
+        if x is None:
+            x = self.points[base] = Fraction(k, self.d)
+        return x
+
+
+class FuzzyTables(tuple):
+    """``(n, m)``: each object's fuzzy neighborhood and its complementary one, by name.
+
+    Both are dicts from object to ``IVFuzzySet``.  The tables also carry
+    their rows as scaled ints, which the operators compute on; pass them
+    through ``tables=`` to evaluate many operators on one space.
+    """
+
+    def __new__(cls, space: SoftSpace):
+        u = space.universe
+        size = len(u)
+        d, lows, highs, points = scaled_endpoints(
+            chain((space.beta,), *(fs.grades for fs in space.mapping.assignment))
+        )
+        (b_lo, *lows), (b_hi, *highs) = lows, highs
+        sets = [(lows[i : i + size], highs[i : i + size]) for i in range(0, len(lows), size)]
+        n = []
+        for x in range(size):
+            selected = [s for s in sets if b_lo <= s[0][x] and b_hi <= s[1][x]]
+            if selected:
+                n.append(tuple([min(column) for column in zip(*half)] for half in zip(*selected)))
+            else:
+                n.append(([d] * size, [d] * size))
+        points[d] = Fraction(1)  # the endpoint of a row that selects no set
+        grades = [[IntervalValue(points[a], points[b]) for a, b in zip(*row)] for row in n]
+        self = super().__new__(cls, (
+            {x: IVFuzzySet(u, grades[i]) for i, x in enumerate(u)},
+            {x: IVFuzzySet(u, [row[i] for row in grades]) for i, x in enumerate(u)},
+        ))
+        self.scale = _Scale(d, 1, (b_lo, b_hi), n, _transpose(n), points)
+        self._rescaled = self.scale
+        return self
+
+    def at(self, d: int) -> _Scale:
+        """The rows over ``d``, a multiple of the space's own denominator; the last one is kept."""
+        if self._rescaled.d != d:
+            self._rescaled = self.scale.times(d // self.scale.d)
+        return self._rescaled
+
+
+def oracle_fuzzy_tables(space: SoftSpace) -> FuzzyTables:
+    """Both fuzzy neighborhood tables, computed the definition-literal way."""
+    return FuzzyTables(space)
 
 
 def oracle_crisp_tables(space: SoftSpace):
-    """Both crisp neighborhood tables (beta-cuts of the fuzzy tables)."""
-    n, m = oracle_fuzzy_tables(space)
-    sn = {x: crisp_of(n[x], space.beta) for x in space.universe}
-    sm = {x: crisp_of(m[x], space.beta) for x in space.universe}
-    return sn, sm
+    """Both crisp neighborhood tables: the beta-cut {y : beta <= row(y)} of each fuzzy row."""
+    u, scale = space.universe, oracle_fuzzy_tables(space).scale
+    b_lo, b_hi = scale.beta
+
+    def cut(lows, highs) -> CrispSubset:
+        return CrispSubset(u, frozenset(
+            y for y, lo, hi in zip(u.objects, lows, highs) if b_lo <= lo and b_hi <= hi
+        ))
+
+    return tuple({x: cut(*row) for x, row in zip(u, table)} for table in (scale.n, scale.m))
+
+
+def oracle_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
+    """Literal fold: intersect every F(e) with beta <= F(e)(obj), or I^U when none."""
+    return oracle_fuzzy_tables(space)[0][obj]
+
+
+def oracle_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
+    return oracle_crisp_tables(space)[0][obj]
+
+
+def oracle_complementary_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
+    return oracle_fuzzy_tables(space)[1][obj]
+
+
+def oracle_complementary_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
+    return oracle_crisp_tables(space)[1][obj]
+
+
+# -- the lattice on rows of scaled ints -------------------------------------
+
+
+def _complement(row: Row, d: int) -> Row:
+    """[1 - hi, 1 - lo] at every object."""
+    lows, highs = row
+    return [d - k for k in highs], [d - k for k in lows]
+
+
+def _meet(a: Row, b: Row) -> Row:
+    return list(map(min, a[0], b[0])), list(map(min, a[1], b[1]))
+
+
+def _join(a: Row, b: Row) -> Row:
+    return list(map(max, a[0], b[0])), list(map(max, a[1], b[1]))
+
+
+def _scaled_target(space: SoftSpace, target: IVFuzzySet, tables):
+    """The space's rows and the target's, over one denominator, and the target's endpoints."""
+    if target.universe != space.universe:
+        raise UniverseMismatchError("target set is over a different universe")
+    tables = tables if tables is not None else oracle_fuzzy_tables(space)
+    d, lows, highs, points = scaled_endpoints(target.grades, tables.scale.d)
+    return tables.at(d), (lows, highs), points
+
+
+def _fuzzy_result(space: SoftSpace, scale: _Scale, grades, extra) -> IVFuzzySet:
+    return IVFuzzySet(space.universe, tuple(
+        IntervalValue(scale.value(lo, extra), scale.value(hi, extra)) for lo, hi in grades
+    ))
 
 
 def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
+    """lower(X)(x) = meet over y of (the complement of the kind's neighborhoods at y) join X(y)."""
     kind = Kind.of(kind)
-    n, m = tables if tables is not None else oracle_fuzzy_tables(space)
-    grades: Dict[str, IntervalValue] = {}
-    for x in space.universe:
-        terms = []
-        for y in space.universe:
-            if kind is Kind.K1:
-                base = complement(n[x].grade(y))
-            elif kind is Kind.K2:
-                base = complement(m[x].grade(y))
-            elif kind is Kind.K3:
-                base = join(complement(n[x].grade(y)), complement(m[x].grade(y)))
-            else:
-                base = meet(complement(n[x].grade(y)), complement(m[x].grade(y)))
-            terms.append(join(base, target.grade(y)))
-        grades[x] = family_meet(terms)
-    return IVFuzzySet.from_dict(space.universe, grades)
+    scale, x_row, extra = _scaled_target(space, target, tables)
+    d = scale.d
+    grades = []
+    for n, m in zip(scale.n, scale.m):
+        if kind is Kind.K1:
+            base = _complement(n, d)
+        elif kind is Kind.K2:
+            base = _complement(m, d)
+        elif kind is Kind.K3:
+            base = _join(_complement(n, d), _complement(m, d))
+        else:
+            base = _meet(_complement(n, d), _complement(m, d))
+        lows, highs = _join(base, x_row)
+        grades.append((min(lows), min(highs)))
+    return _fuzzy_result(space, scale, grades, extra)
 
 
 def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
+    """upper(X)(x) = join over y of (the kind's neighborhoods at y) meet X(y)."""
     kind = Kind.of(kind)
-    n, m = tables if tables is not None else oracle_fuzzy_tables(space)
-    grades: Dict[str, IntervalValue] = {}
-    for x in space.universe:
-        terms = []
-        for y in space.universe:
-            if kind is Kind.K1:
-                base = n[x].grade(y)
-            elif kind is Kind.K2:
-                base = m[x].grade(y)
-            elif kind is Kind.K3:
-                base = meet(n[x].grade(y), m[x].grade(y))
-            else:
-                base = join(n[x].grade(y), m[x].grade(y))
-            terms.append(meet(base, target.grade(y)))
-        grades[x] = family_join(terms)
-    return IVFuzzySet.from_dict(space.universe, grades)
+    scale, x_row, extra = _scaled_target(space, target, tables)
+    grades = []
+    for n, m in zip(scale.n, scale.m):
+        if kind is Kind.K1:
+            base = n
+        elif kind is Kind.K2:
+            base = m
+        elif kind is Kind.K3:
+            base = _meet(n, m)
+        else:
+            base = _join(n, m)
+        lows, highs = _meet(base, x_row)
+        grades.append((max(lows), max(highs)))
+    return _fuzzy_result(space, scale, grades, extra)
 
 
 def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:

@@ -27,9 +27,14 @@ from betacover.intervals import (
     Codes,
     format_endpoint,
     parse_endpoint,
+    scaled_endpoints,
 )
+from betacover.approximations import fuzzy_lower, fuzzy_upper
+from betacover.fuzzysets import Universe
+from betacover.neighborhoods import NeighborhoodSystem
+from betacover.oracle import oracle_fuzzy_lower, oracle_fuzzy_tables, oracle_fuzzy_upper
 
-from conftest import intervals, iv, mixed_intervals
+from conftest import fuzzy, intervals, iv, make_space, mixed_intervals
 
 
 class TestConstruction:
@@ -410,3 +415,55 @@ class TestCodes:
         assert codes.points == (0, Fraction(1, 2), 1)
         with pytest.raises(KeyError):
             codes.encode([iv("[0.25,0.5]")])
+
+
+class TestScaledEndpoints:
+    """The oracle's ints: endpoints over one common denominator.
+
+    The expected values use Fraction's own order and ``1 - x``, over
+    endpoints with mixed and huge denominators.
+    """
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6), st.sampled_from((1, 3, 2**64)))
+    def test_scaled_ints_keep_order_and_complement_and_map_back(self, family, base):
+        d, lows, highs, points = scaled_endpoints(family, base)
+        assert d % base == 0
+        scaled = [(v.lo, a) for v, a in zip(family, lows)]
+        scaled += [(v.hi, b) for v, b in zip(family, highs)]
+        for x, a in scaled:
+            assert points[a] == x and type(points[a]) is Fraction
+            assert Fraction(a, d) == x
+            for y, b in scaled:
+                assert (a <= b) == (x <= y)
+        assert scaled_endpoints(map(complement, family), d)[:3] == (
+            d, [d - b for b in highs], [d - a for a in lows]
+        )
+
+    def test_the_denominator_is_the_least_common_one(self):
+        d, lows, highs, points = scaled_endpoints([iv("[1/4,1/2]"), iv("[1/6,1]")])
+        assert (d, lows, highs) == (12, [3, 2], [6, 12])
+        assert points == {3: Fraction(1, 4), 6: Fraction(1, 2), 2: Fraction(1, 6), 12: 1}
+        assert scaled_endpoints([iv("[1/3,2/3]")], 12)[:3] == (12, [4], [8])
+
+    def test_the_oracle_rescales_for_a_target_off_the_spaces_denominator(self):
+        # The space's endpoints are halves (D = 2); the target's thirds do not
+        # divide D, so every operator call works over 6 and maps its ints back.
+        u = Universe(("x", "y"))
+        space = make_space(
+            u,
+            {"e1": {"x": "[1/2,1]", "y": "[0,1/2]"}, "e2": {"x": "[0,1/2]", "y": "[1/2,1]"}},
+            "[1/2,1/2]",
+        )
+        tables = oracle_fuzzy_tables(space)
+        target = fuzzy(u, x="[1/3,2/3]", y="[0,1/3]")
+        assert tables.scale.d == 2 and scaled_endpoints(target.grades, 2)[0] == 6
+        expected = fuzzy(u, x="[1/3,2/3]", y="[0,1/2]")
+        ns = NeighborhoodSystem(space)
+        for kind in (1, 2, 3, 4):
+            lower = oracle_fuzzy_lower(space, kind, target, tables)
+            upper = oracle_fuzzy_upper(space, kind, target, tables)
+            assert lower == expected == upper
+            assert lower == fuzzy_lower(space, kind, target, ns)
+            assert upper == fuzzy_upper(space, kind, target, ns)
+        assert tables.scale.d == 2

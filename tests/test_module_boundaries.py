@@ -11,9 +11,9 @@ attribute), so that how endpoints are stored and compared is decided in
 ``snap_candidates`` work on the endpoint grid.
 
 The oracle is the independent check on the fast path, so it takes only
-``Kind`` from ``approximations`` and only ``crisp_of`` from
-``neighborhoods``.  The operators in ``approximations`` work on endpoint
-codes, so they import none of the per-entry interval operations.
+``Kind`` from ``approximations``, nothing from ``neighborhoods``, and of
+``intervals`` only ``IntervalValue`` and the ``scaled_endpoints`` helper.  The operators in ``approximations`` work on
+endpoint codes, so they import none of the per-entry interval operations.
 """
 
 import ast
@@ -150,7 +150,7 @@ def imports_from(path: Path, watched) -> list:
 
 
 # What the oracle may take from the fast path's modules.
-ORACLE_ALLOWED = {"betacover.approximations": {"Kind"}, "betacover.neighborhoods": {"crisp_of"}}
+ORACLE_ALLOWED = {"betacover.approximations": {"Kind"}, "betacover.neighborhoods": set()}
 
 
 def fast_path_imports(path: Path) -> list:
@@ -179,6 +179,7 @@ def test_the_oracle_guard_sees_every_form(tmp_path):
     assert [text for _, text in fast_path_imports(sample)] == [
         "from betacover.approximations import fuzzy_lower",
         "from betacover.neighborhoods import NeighborhoodSystem",
+        "from betacover.neighborhoods import crisp_of",
         "from betacover import approximations",
         "import betacover.neighborhoods",
         "from betacover.approximations import crisp_upper",
@@ -258,4 +259,44 @@ def test_the_audit_guard_sees_every_form(tmp_path):
         "import betacover.intervals",
         "from betacover.intervals import Codes",
         "from betacover.intervals import meet",
+    ]
+
+
+# The oracle computes on its own scaled ints; of the interval layer it takes
+# the checked value type and the scaling helper, none of the lattice code
+# the fast path encodes from and decodes to.
+ORACLE_INTERVAL_IMPORTS = {"IntervalValue", "scaled_endpoints"}
+
+
+def oracle_interval_imports(path: Path) -> list:
+    """(line, text) for each interval-layer import beyond ORACLE_INTERVAL_IMPORTS."""
+    return [
+        (line, text)
+        for line, text, _, name in imports_from(path, {"betacover.intervals"})
+        if name not in ORACLE_INTERVAL_IMPORTS
+    ]
+
+
+def test_the_oracle_takes_only_the_value_type_and_the_scaling_from_intervals():
+    assert oracle_interval_imports(PACKAGE / "oracle.py") == []
+
+
+def test_the_oracle_interval_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import IntervalValue, scaled_endpoints, meet\n"
+        "from .intervals import leq_bool as le, Codes\n"
+        "from . import intervals\n"
+        "import betacover.intervals\n"
+        "def f():\n"
+        "    from betacover.intervals import complement, family_meet\n"
+    )
+    assert [text for _, text in oracle_interval_imports(sample)] == [
+        "from betacover.intervals import meet",
+        "from betacover.intervals import Codes",
+        "from betacover.intervals import leq_bool",
+        "from betacover import intervals",
+        "import betacover.intervals",
+        "from betacover.intervals import complement",
+        "from betacover.intervals import family_meet",
     ]
