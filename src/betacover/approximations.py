@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import and_, not_, or_
+from operator import and_, or_
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
@@ -120,17 +120,19 @@ def _crisp_hits(ns: NeighborhoodSystem, kind: Kind, target: int) -> Iterator[boo
     return map(_HITS[kind], n_hits, m_hits)
 
 
-def _crisp_members(ns: NeighborhoodSystem, kind: Kind, target: int, lower: bool) -> Iterator[bool]:
-    """Per object, whether it is in the upper approximation of a bitmask target, or the lower."""
-    if lower:
-        outside = ((1 << len(ns.crisp_sets)) - 1) ^ target
-        return map(not_, _crisp_hits(ns, kind, outside))
-    return _crisp_hits(ns, kind, target)
-
-
 def crisp_on_mask(ns: NeighborhoodSystem, kind: Kind, target: int, lower: bool = False) -> int:
     """The crisp upper approximation of a bitmask target, or its dual lower one, as a bitmask."""
-    return sum(compress(map((1).__lshift__, count()), _crisp_members(ns, kind, target, lower)))
+    if lower:
+        full = (1 << len(ns.crisp_sets)) - 1
+        return full ^ crisp_on_mask(ns, kind, full ^ target)
+    return sum(compress(map((1).__lshift__, count()), _crisp_hits(ns, kind, target)))
+
+
+def _fuzzy(space, kind, target: IVFuzzySet, system, lower: bool) -> IVFuzzySet:
+    """The fuzzy upper approximation of a target, or its dual lower one, decoded."""
+    kind, ns = _prepare(space, kind, target, system)
+    codes, kernel, x = _fuzzy_codes(ns, kind, target)
+    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x, lower)))
 
 
 def fuzzy_lower(
@@ -140,9 +142,7 @@ def fuzzy_lower(
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
-    kind, ns = _prepare(space, kind, target, system)
-    codes, kernel, x = _fuzzy_codes(ns, kind, target)
-    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x, lower=True)))
+    return _fuzzy(space, kind, target, system, lower=True)
 
 
 def fuzzy_upper(
@@ -152,9 +152,7 @@ def fuzzy_upper(
     system: Optional[NeighborhoodSystem] = None,
 ) -> IVFuzzySet:
     """Per-object join over y of (kernel(y) and target(y))."""
-    kind, ns = _prepare(space, kind, target, system)
-    codes, kernel, x = _fuzzy_codes(ns, kind, target)
-    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x)))
+    return _fuzzy(space, kind, target, system, lower=False)
 
 
 def crisp_lower(
@@ -165,8 +163,7 @@ def crisp_lower(
 ) -> CrispSubset:
     """Dual of the upper operator: lower(X) = upper(X^c)^c."""
     kind, ns = _prepare(space, kind, target, system)
-    members = _crisp_members(ns, kind, target.mask(), lower=True)
-    return CrispSubset(target.universe, frozenset(compress(target.universe.objects, members)))
+    return CrispSubset.from_mask(target.universe, crisp_on_mask(ns, kind, target.mask(), True))
 
 
 def crisp_upper(
@@ -177,8 +174,7 @@ def crisp_upper(
 ) -> CrispSubset:
     """Objects whose crisp neighborhoods of the kind meet the target."""
     kind, ns = _prepare(space, kind, target, system)
-    members = _crisp_members(ns, kind, target.mask(), lower=False)
-    return CrispSubset(target.universe, frozenset(compress(target.universe.objects, members)))
+    return CrispSubset.from_mask(target.universe, crisp_on_mask(ns, kind, target.mask(), False))
 
 
 def approximate(

@@ -13,9 +13,12 @@ with zero tolerance.
 An interval is validated once, where it enters the program: parsing,
 ``of``, ``point`` and direct construction check ``0 <= lo <= hi <= 1``.
 The meet, join or complement of valid intervals is valid, so the lattice
-operations build their results unchecked.  Endpoints are compared by
-cross-multiplying numerators and denominators, which gives Fraction's
-order without its per-compare ``numbers.Rational`` check.
+operations build their results unchecked.  Every endpoint-order decision
+(the meet, the join, the order and that check) goes through one compare,
+``_le``, which cross-multiplies numerators and denominators: Fraction's
+order without its per-compare ``numbers.Rational`` check.  The families'
+meet and join fold ``meet`` and ``join``, and the complement is ``1 - x``
+on each endpoint.
 
 Meet, join, the order and the complement read only the order of
 endpoints, so ``Codes`` numbers the endpoints of a finite family (closed
@@ -31,6 +34,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -163,12 +167,6 @@ class IntervalValue:
     def is_degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def __hash__(self) -> int:
-        # Hashes the endpoints' (numerator, denominator) ints: this agrees with
-        # the dataclass __eq__, a Fraction being in lowest terms, and costs no
-        # Fraction.__hash__, which does a modular pow per endpoint.
-        return hash((self.lo.as_integer_ratio(), self.hi.as_integer_ratio()))
-
     def text(self) -> str:
         return f"[{format_endpoint(self.lo)},{format_endpoint(self.hi)}]"
 
@@ -195,32 +193,6 @@ BOTTOM = IntervalValue(Fraction(0), Fraction(0))
 
 
 # -- results derived from valid intervals --------------------------------
-#
-# meet, join and leq_bool run millions of times in an oracle sweep, so they
-# spell out _le's cross-multiplication instead of calling it.
-
-
-def _least(values: list) -> Fraction:
-    """The least of a nonempty list of Fraction endpoints."""
-    best = values[0]
-    n, d = best.numerator, best.denominator
-    for v in values:
-        vn, vd = v.numerator, v.denominator
-        if vn * d < n * vd:
-            best, n, d = v, vn, vd
-    return best
-
-
-def _greatest(values: list) -> Fraction:
-    """The greatest of a nonempty list of Fraction endpoints."""
-    best = values[0]
-    n, d = best.numerator, best.denominator
-    for v in values:
-        vn, vd = v.numerator, v.denominator
-        if vn * d > n * vd:
-            best, n, d = v, vn, vd
-    return best
-
 
 _new = object.__new__
 _setattr = object.__setattr__
@@ -259,40 +231,26 @@ def meet(a: IntervalValue, b: IntervalValue) -> IntervalValue:
     """Componentwise minimum (lattice meet)."""
     if not (isinstance(a, IntervalValue) and isinstance(b, IntervalValue)):
         raise _not_intervals("meet", a, b)
-    x, y = a.lo, b.lo
-    lo = x if x.numerator * y.denominator <= y.numerator * x.denominator else y
-    x, y = a.hi, b.hi
-    return _unchecked(lo, x if x.numerator * y.denominator <= y.numerator * x.denominator else y)
+    return _unchecked(a.lo if _le(a.lo, b.lo) else b.lo, a.hi if _le(a.hi, b.hi) else b.hi)
 
 
 def join(a: IntervalValue, b: IntervalValue) -> IntervalValue:
     """Componentwise maximum (lattice join)."""
     if not (isinstance(a, IntervalValue) and isinstance(b, IntervalValue)):
         raise _not_intervals("join", a, b)
-    x, y = a.lo, b.lo
-    lo = x if x.numerator * y.denominator >= y.numerator * x.denominator else y
-    x, y = a.hi, b.hi
-    return _unchecked(lo, x if x.numerator * y.denominator >= y.numerator * x.denominator else y)
+    return _unchecked(a.lo if _le(b.lo, a.lo) else b.lo, a.hi if _le(b.hi, a.hi) else b.hi)
 
 
 def complement(a: IntervalValue) -> IntervalValue:
     """[1-hi, 1-lo]; an exact involution."""
     if not isinstance(a, IntervalValue):
         raise _not_intervals("complement", a)
-    lo, hi = a.lo, a.hi
-    d = hi.denominator
-    new_lo = Fraction(d - hi.numerator, d)
-    d = lo.denominator
-    return _unchecked(new_lo, Fraction(d - lo.numerator, d))
+    return _unchecked(1 - a.hi, 1 - a.lo)
 
 
 def leq_bool(a: IntervalValue, b: IntervalValue) -> bool:
     """True iff a <= b in the product order."""
-    x, y = a.lo, b.lo
-    if x.numerator * y.denominator > y.numerator * x.denominator:
-        return False
-    x, y = a.hi, b.hi
-    return x.numerator * y.denominator <= y.numerator * x.denominator
+    return _le(a.lo, b.lo) and _le(a.hi, b.hi)
 
 
 def relation(a: IntervalValue, b: IntervalValue) -> Relation:
@@ -319,14 +277,12 @@ def family_meet(family: Iterable[IntervalValue]) -> IntervalValue:
     (top element) belongs to the neighborhood layer, where the context
     defines it.
     """
-    items = _members(family, "family_meet")
-    return _unchecked(_least([i.lo for i in items]), _least([i.hi for i in items]))
+    return reduce(meet, _members(family, "family_meet"))
 
 
 def family_join(family: Iterable[IntervalValue]) -> IntervalValue:
     """Componentwise supremum over a nonempty family."""
-    items = _members(family, "family_join")
-    return _unchecked(_greatest([i.lo for i in items]), _greatest([i.hi for i in items]))
+    return reduce(join, _members(family, "family_join"))
 
 
 # -- endpoints over one common denominator ----------------------------------

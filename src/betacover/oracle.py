@@ -91,8 +91,9 @@ class FuzzyTables(tuple):
     """``(n, m)``: each object's fuzzy neighborhood and its complementary one, by name.
 
     Both are dicts from object to ``IVFuzzySet``.  The tables also carry
-    their rows as scaled ints, which the operators compute on; pass them
-    through ``tables=`` to evaluate many operators on one space.
+    their rows as scaled ints, which the operators compute on and ``crisp``
+    cuts at beta; pass them through ``tables=`` to evaluate many operators
+    on one space.
     """
 
     def __new__(cls, space: SoftSpace):
@@ -116,9 +117,22 @@ class FuzzyTables(tuple):
             {x: IVFuzzySet(u, grades[i]) for i, x in enumerate(u)},
             {x: IVFuzzySet(u, [row[i] for row in grades]) for i, x in enumerate(u)},
         ))
+        self.universe = u
         self.scale = _Scale(d, 1, (b_lo, b_hi), n, _transpose(n), points)
         self._rescaled = self.scale
         return self
+
+    def crisp(self):
+        """Both crisp neighborhood tables: the beta-cut {y : beta <= row(y)} of each fuzzy row."""
+        u, scale = self.universe, self.scale
+        b_lo, b_hi = scale.beta
+
+        def cut(lows, highs) -> CrispSubset:
+            return CrispSubset(u, frozenset(
+                y for y, lo, hi in zip(u.objects, lows, highs) if b_lo <= lo and b_hi <= hi
+            ))
+
+        return tuple({x: cut(*row) for x, row in zip(u, rows)} for rows in (scale.n, scale.m))
 
     def at(self, d: int) -> _Scale:
         """The rows over ``d``, a multiple of the space's own denominator; the last one is kept."""
@@ -133,16 +147,8 @@ def oracle_fuzzy_tables(space: SoftSpace) -> FuzzyTables:
 
 
 def oracle_crisp_tables(space: SoftSpace):
-    """Both crisp neighborhood tables: the beta-cut {y : beta <= row(y)} of each fuzzy row."""
-    u, scale = space.universe, oracle_fuzzy_tables(space).scale
-    b_lo, b_hi = scale.beta
-
-    def cut(lows, highs) -> CrispSubset:
-        return CrispSubset(u, frozenset(
-            y for y, lo, hi in zip(u.objects, lows, highs) if b_lo <= lo and b_hi <= hi
-        ))
-
-    return tuple({x: cut(*row) for x, row in zip(u, table)} for table in (scale.n, scale.m))
+    """Both crisp neighborhood tables, cut from the definition-literal fuzzy ones."""
+    return oracle_fuzzy_tables(space).crisp()
 
 
 def oracle_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:

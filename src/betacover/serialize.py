@@ -126,10 +126,6 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
     return mapping, beta
 
 
-def parse_space_json(text: str) -> Tuple[SoftMapping, IntervalValue]:
-    return parse_space_doc(_loads(text))
-
-
 def serialize_space_csv(space: SoftSpace) -> str:
     """Membership table only; beta travels out-of-band."""
     buf = io.StringIO()
@@ -140,7 +136,7 @@ def serialize_space_csv(space: SoftSpace) -> str:
     return buf.getvalue()
 
 
-def parse_space_csv(text: str) -> Tuple[SoftMapping, None]:
+def parse_space_csv(text: str) -> SoftMapping:
     try:
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
@@ -167,7 +163,7 @@ def parse_space_csv(text: str) -> Tuple[SoftMapping, None]:
     except ValueError as exc:
         raise SpaceSyntaxError(str(exc)) from None
     table = {p: cells[p] for p in parameters}
-    return SoftMapping.from_dict(universe, table), None
+    return SoftMapping.from_dict(universe, table)
 
 
 def parse_space(
@@ -182,11 +178,11 @@ def parse_space(
     ``beta`` argument.
     """
     if fmt == "json":
-        mapping, doc_beta = parse_space_json(text)
+        mapping, doc_beta = parse_space_doc(_loads(text))
         if beta is None:
             beta = doc_beta
     elif fmt == "csv":
-        mapping, _ = parse_space_csv(text)
+        mapping = parse_space_csv(text)
         if beta is None:
             raise SpaceSyntaxError("CSV input requires beta out-of-band")
     else:

@@ -97,10 +97,7 @@ def test_criterion_2_full_registry_audit():
 def _dual_route_check(space, rng, grid):
     ns = NeighborhoodSystem(space)
     ftab = oracle_fuzzy_tables(space)
-    ctab = (
-        {x: crisp_of(ftab[0][x], space.beta) for x in space.universe},
-        {x: crisp_of(ftab[1][x], space.beta) for x in space.universe},
-    )
+    ctab = ftab.crisp()
     for o in space.universe:
         assert ns.fuzzy_neighborhood(o) == ftab[0][o]
         assert ns.complementary_fuzzy_neighborhood(o) == ftab[1][o]

@@ -7,7 +7,9 @@ import a ``_``-prefixed name from another betacover module, nor read a
 
 Nor may a module read an interval's endpoints (an ``.lo`` or ``.hi``
 attribute), so that how endpoints are stored and compared is decided in
-``intervals.py`` alone.  ``generate.py`` is exempt: its grid samplers and
+``intervals.py`` alone, and there in one place: a comparison between two
+products (a cross-multiplied endpoint compare) appears only inside ``_le``.
+``generate.py`` is exempt from the endpoint rule: its grid samplers and
 ``snap_candidates`` work on the endpoint grid.
 
 The oracle is the independent check on the fast path, so it takes only
@@ -123,6 +125,55 @@ def test_the_endpoint_guard_sees_reads(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("a = g.lo\nb = [x.hi for x in xs]\nc = g.low\n")
     assert endpoint_reads(sample) == [(1, "lo"), (2, "hi")]
+
+
+def _product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def product_compares(path: Path) -> list:
+    """(line, function) for each comparison between two products, by the innermost enclosing def.
+
+    ``function`` is None at module level.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(_product(a) and _product(b) for a, b in zip(operands, operands[1:])):
+                    found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return sorted(found, key=lambda site: site[0])
+
+
+def test_endpoints_are_compared_only_in_le():
+    assert [function for _, function in product_compares(PACKAGE / "intervals.py")] == ["_le"]
+
+
+def test_the_compare_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "top = a * b < c * d\n"
+        "def _le(a, b):\n"
+        "    def inner():\n"
+        "        return a.n * b.d > b.n * a.d\n"
+        "    return a.n * b.d <= b.n * a.d\n"
+        "class C:\n"
+        "    def pick(self, x, y):\n"
+        "        return x if x.n * y.d >= y.n * x.d else y\n"
+        "async def chained(a, b):\n"
+        "    return 0 <= a * b == b * a\n"
+        "def untouched(a, b):\n"
+        "    return a * b <= 1 and a + b < b + a and key(lambda: a < b)\n"
+    )
+    assert product_compares(sample) == [
+        (1, None), (4, "inner"), (5, "_le"), (8, "pick"), (10, "chained"),
+    ]
 
 
 def imports_from(path: Path, watched) -> list:

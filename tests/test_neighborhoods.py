@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from betacover import (
     IVFuzzySet,
@@ -14,10 +15,12 @@ from betacover.oracle import (
     oracle_complementary_crisp_neighborhood,
     oracle_complementary_fuzzy_neighborhood,
     oracle_crisp_neighborhood,
+    oracle_crisp_tables,
     oracle_fuzzy_neighborhood,
+    oracle_fuzzy_tables,
 )
 
-from conftest import fuzzy, iv
+from conftest import fuzzy, iv, mixed_spaces
 
 
 class TestDerivedSpace:
@@ -151,6 +154,15 @@ class TestCrispOf:
         g = fuzzy(xyz, x="[0.6,0.6]", y="[0.5,0.55]", z="[0,1]")
         assert crisp_of(g, iv("[0.5,0.6]")).sorted_members() == ("x",)
         assert crisp_of(g, iv("[0,0]")).sorted_members() == ("x", "y", "z")
+
+    @settings(max_examples=100, deadline=1000)
+    @given(mixed_spaces())
+    def test_the_oracle_cut_equals_crisp_of_each_oracle_row(self, space):
+        # The oracle cuts its scaled ints; crisp_of cuts the decoded rows.
+        fuzzy_tables = oracle_fuzzy_tables(space)
+        assert oracle_crisp_tables(space) == tuple(
+            {x: crisp_of(table[x], space.beta) for x in space.universe} for table in fuzzy_tables
+        )
 
     def test_unknown_object_lookup(self, derived_space):
         ns = NeighborhoodSystem(derived_space)
