@@ -8,7 +8,10 @@ the high codes of ``NeighborhoodSystem.kernel_codes``.  The crisp upper
 operator keeps the objects whose crisp neighborhood (kind 1),
 complementary neighborhood (kind 2), both (kind 3) or either (kind 4)
 meets the target.  A target with an endpoint the space's codes do not
-number (one on a finer grid, say) widens the codes for that call.
+number (one on a finer grid, say) widens the codes for that target.
+The ``NeighborhoodSystem`` encodes a target, widening if need be, once
+for as long as it is the system's last target (``target_codes``), so
+the eight fuzzy operators on one target encode it once.
 
 ``fuzzy_on_codes`` and ``crisp_on_mask`` are the operators on codes and
 bitmasks themselves, for a caller that keeps its sets in that form (the
@@ -47,9 +50,17 @@ class Kind(Enum):
 
     @classmethod
     def of(cls, value: Union[int, str, "Kind"]) -> "Kind":
+        """The kind of a ``Kind``, a plain int 1..4 or its string; ValueError for anything else."""
         if isinstance(value, Kind):
             return value
-        return cls(int(value))
+        # Checked by type: True, 1.0 and 1.5 would otherwise hash their way to K1.
+        kind = _KINDS.get(value) if type(value) in (int, str) else None
+        if kind is None:
+            raise ValueError(f"kind must be 1, 2, 3 or 4, got {value!r}")
+        return kind
+
+
+_KINDS = {key: kind for kind in Kind for key in (kind.value, str(kind.value))}
 
 
 Target = Union[IVFuzzySet, CrispSubset]
@@ -78,12 +89,8 @@ def _prepare(space: SoftSpace, kind, target: Target, system) -> Tuple[Kind, Neig
 
 def _fuzzy_codes(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet):
     """The codes, the kind's kernel codes and the target's codes, widened if the target needs it."""
-    codes = ns.codes
-    try:
-        return codes, ns.kernel_codes(kind), codes.encode(target.grades)
-    except KeyError:  # an endpoint the space's codes do not number
-        codes, remap = codes.widen(target.grades)
-        return codes, ns.kernel_codes(kind, remap), codes.encode(target.grades)
+    codes, remap, x = ns.target_codes(target)
+    return codes, ns.kernel_codes(kind, remap), x
 
 
 def _fuzzy_upper(kernel, target):

@@ -21,7 +21,7 @@ gives the fuzzy matrix alone, for any mapping and beta.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import Codes, IntervalValue, leq_bool
@@ -72,11 +72,21 @@ def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
 _COMBINE = {3: min, 4: max}
 
 
+def _kind_number(kind) -> int:
+    """The number 1..4 of a ``Kind`` or of a plain int; ValueError for anything else."""
+    number = getattr(kind, "value", kind)
+    # Checked by type: True and 1.0 would otherwise hash their way to kind 1.
+    if type(number) is not int or not 1 <= number <= 4:
+        raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind!r}")
+    return number
+
+
 class NeighborhoodSystem:
     """Neighborhood matrices of one space, on the space's endpoint codes.
 
     The code rows, their transposes and both crisp bitmasks are built at
-    construction; the kind-3 and kind-4 kernels and the decoded matrices on first use.
+    construction; the kind-3 and kind-4 kernels and the decoded matrices on
+    first use.  The codes of the last fuzzy target are kept (``target_codes``).
     """
 
     def __init__(self, space: SoftSpace):
@@ -88,6 +98,7 @@ class NeighborhoodSystem:
         self.empty_index_objects = frozenset(space.universe.objects[i] for i in empty)
         self._kernel_codes = {1: (n_lo, n_hi), 2: (m_lo, m_hi)}
         self._kernels = {}
+        self._target = self._target_codes = None
 
     @property
     def codes(self) -> Codes:
@@ -99,19 +110,37 @@ class NeighborhoodSystem:
         b_lo, b_hi = self._beta
         return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
 
+    def target_codes(
+        self, target: IVFuzzySet
+    ) -> Tuple[Codes, Optional[List[int]], Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """``(codes, remap, (lows, highs))``: a code table for the target, and the target's codes.
+
+        ``codes`` is the space's own table and ``remap`` None when that table
+        numbers every endpoint of the target; otherwise both come from
+        ``codes.widen``.  The last target is kept, by reference, and known
+        again by identity: an ``IVFuzzySet`` never changes.
+        """
+        if target is not self._target:
+            codes, remap = self._codes, None
+            try:
+                x = codes.encode(target.grades)
+            except KeyError:  # an endpoint the space's codes do not number
+                codes, remap = codes.widen(target.grades)
+                x = codes.encode(target.grades)
+            self._target, self._target_codes = target, (codes, remap, x)
+        return self._target_codes
+
     def kernel_codes(
         self, kind, remap: Optional[Sequence[int]] = None
     ) -> Tuple[_CodeMatrix, _CodeMatrix]:
         """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
 
-        ``kind`` is a ``Kind`` or its number 1..4; anything else is rejected.
-        Given the ``remap`` of a widening of ``codes`` (``Codes.widen``), the
-        codes are those of the wider table.
+        ``kind`` is a ``Kind`` or its number 1..4 as an int; anything else is
+        rejected.  Given the ``remap`` of a widening of ``codes``
+        (``Codes.widen``), the codes are those of the wider table.
         """
-        kind = getattr(kind, "value", kind)
+        kind = _kind_number(kind)
         if kind not in self._kernel_codes:
-            if kind not in _COMBINE:
-                raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind!r}")
             self._kernel_codes[kind] = tuple(
                 tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))
                 for n, m in zip(self._kernel_codes[1], self._kernel_codes[2])
@@ -123,7 +152,7 @@ class NeighborhoodSystem:
 
     def kernel(self, kind) -> Matrix:
         """The ``IntervalValue`` matrix of ``kernel_codes(kind)``."""
-        kind = getattr(kind, "value", kind)
+        kind = _kind_number(kind)
         if kind not in self._kernels:
             self._kernels[kind] = tuple(map(self._codes.decode, *self.kernel_codes(kind)))
         return self._kernels[kind]

@@ -7,10 +7,12 @@ p/q is the int p*D/q: endpoints order as their ints do, the complement
 [1-hi, 1-lo] is [D-hi, D-lo], and meet and join are int ``min`` and ``max``.
 The neighborhoods are recomputed from the raw parameter sets by the literal
 fold, the meet of every F(e) with beta <= F(e)(x), or [1,1] everywhere when
-no set qualifies.  An operator call scales only its target, and rescales the
-space's rows only when a target denominator does not divide D.  Each lower
-operator is evaluated from its own formula, not as the dual of an upper one,
-and results come back as checked ``IntervalValue`` instances.
+no set qualifies.  Each target is scaled once per tables (the tables keep
+the last one), and the space's rows are rescaled only when a target
+denominator does not divide D.  Each lower operator is evaluated from its
+own formula, not as the dual of an upper one, and results come back as
+checked ``IntervalValue`` instances, each distinct result interval built
+and checked once per scale.
 
 None of this uses the interval algebra (``meet``, ``join``, ``complement``,
 ``leq_bool``) or the endpoint codes that the matrix-based fast path in
@@ -51,6 +53,8 @@ class _Scale(NamedTuple):
     ``n[i]`` is the i-th object's fuzzy neighborhood and ``m[i]`` its
     complementary one.  ``points`` maps the rows' endpoints, as ints over
     the space's own denominator ``d // factor``, to their ``Fraction``.
+    ``results`` maps each ``(lo, hi)`` int pair an operator has returned to
+    the checked ``IntervalValue`` [lo/d, hi/d] built from it.
     """
 
     d: int
@@ -59,6 +63,7 @@ class _Scale(NamedTuple):
     n: List[Row]
     m: List[Row]
     points: Dict[int, Fraction]
+    results: Dict[Tuple[int, int], IntervalValue]
 
     def times(self, factor: int) -> "_Scale":
         """The same rows over the denominator ``d * factor``."""
@@ -66,7 +71,7 @@ class _Scale(NamedTuple):
         b_lo, b_hi = self.beta
         return _Scale(
             self.d * factor, self.factor * factor, (b_lo * factor, b_hi * factor), n,
-            _transpose(n), self.points,
+            _transpose(n), self.points, {},
         )
 
     def value(self, k: int, extra: Dict[int, Fraction]) -> Fraction:
@@ -91,9 +96,9 @@ class FuzzyTables(tuple):
     """``(n, m)``: each object's fuzzy neighborhood and its complementary one, by name.
 
     Both are dicts from object to ``IVFuzzySet``.  The tables also carry
-    their rows as scaled ints, which the operators compute on and ``crisp``
-    cuts at beta; pass them through ``tables=`` to evaluate many operators
-    on one space.
+    their space and their rows as scaled ints, which the operators compute
+    on and ``crisp`` cuts at beta; pass them through ``tables=`` to evaluate
+    many operators on one space.
     """
 
     def __new__(cls, space: SoftSpace):
@@ -117,14 +122,15 @@ class FuzzyTables(tuple):
             {x: IVFuzzySet(u, grades[i]) for i, x in enumerate(u)},
             {x: IVFuzzySet(u, [row[i] for row in grades]) for i, x in enumerate(u)},
         ))
-        self.universe = u
-        self.scale = _Scale(d, 1, (b_lo, b_hi), n, _transpose(n), points)
+        self.space = space
+        self.scale = _Scale(d, 1, (b_lo, b_hi), n, _transpose(n), points, {})
         self._rescaled = self.scale
+        self._target = self._scaled = None
         return self
 
     def crisp(self):
         """Both crisp neighborhood tables: the beta-cut {y : beta <= row(y)} of each fuzzy row."""
-        u, scale = self.universe, self.scale
+        u, scale = self.space.universe, self.scale
         b_lo, b_hi = scale.beta
 
         def cut(lows, highs) -> CrispSubset:
@@ -137,8 +143,20 @@ class FuzzyTables(tuple):
     def at(self, d: int) -> _Scale:
         """The rows over ``d``, a multiple of the space's own denominator; the last one is kept."""
         if self._rescaled.d != d:
-            self._rescaled = self.scale.times(d // self.scale.d)
+            factor = d // self.scale.d
+            self._rescaled = self.scale if factor == 1 else self.scale.times(factor)
         return self._rescaled
+
+    def scaled(self, target: IVFuzzySet):
+        """``scaled_endpoints`` of the target's grades over a multiple of D; the last one is kept.
+
+        The target is kept by reference and known again by identity: an
+        ``IVFuzzySet`` never changes.
+        """
+        if target is not self._target:
+            d, lows, highs, points = scaled_endpoints(target.grades, self.scale.d)
+            self._target, self._scaled = target, (d, (lows, highs), points)
+        return self._scaled
 
 
 def oracle_fuzzy_tables(space: SoftSpace) -> FuzzyTables:
@@ -189,15 +207,25 @@ def _scaled_target(space: SoftSpace, target: IVFuzzySet, tables):
     """The space's rows and the target's, over one denominator, and the target's endpoints."""
     if target.universe != space.universe:
         raise UniverseMismatchError("target set is over a different universe")
-    tables = tables if tables is not None else oracle_fuzzy_tables(space)
-    d, lows, highs, points = scaled_endpoints(target.grades, tables.scale.d)
-    return tables.at(d), (lows, highs), points
+    if tables is None:
+        tables = oracle_fuzzy_tables(space)
+    elif tables.space is not space and tables.space != space:
+        raise ValueError("oracle tables belong to a different space")
+    d, row, points = tables.scaled(target)
+    return tables.at(d), row, points
 
 
 def _fuzzy_result(space: SoftSpace, scale: _Scale, grades, extra) -> IVFuzzySet:
-    return IVFuzzySet(space.universe, tuple(
-        IntervalValue(scale.value(lo, extra), scale.value(hi, extra)) for lo, hi in grades
-    ))
+    """The fuzzy set of the result int pairs; each distinct pair is built and checked once."""
+    results = scale.results
+    values = []
+    for pair in grades:
+        value = results.get(pair)
+        if value is None:
+            lo, hi = pair
+            value = results[pair] = IntervalValue(scale.value(lo, extra), scale.value(hi, extra))
+        values.append(value)
+    return IVFuzzySet(space.universe, values)
 
 
 def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:

@@ -35,7 +35,7 @@ from betacover.oracle import (
     oracle_fuzzy_upper,
 )
 
-from conftest import fuzzy, iv, make_space, mixed_intervals, mixed_spaces
+from conftest import endpoints, fuzzy, iv, make_space, mixed_intervals, mixed_spaces
 
 
 @pytest.fixture
@@ -50,6 +50,14 @@ class TestKindPlumbing:
         assert Kind.of(Kind.K1) is Kind.K1
         with pytest.raises(ValueError):
             Kind.of(5)
+
+    def test_kind_takes_only_a_kind_a_plain_int_or_its_string(self):
+        numbers = (1, 2, 3, 4)
+        assert list(map(Kind.of, numbers)) == list(map(Kind.of, map(str, numbers))) == list(Kind)
+        # True hashes as 1 and 2.0 as 2; neither is a kind, nor is 1.5 truncated to one.
+        for value in (1.5, 2.0, 1.0, True, False, 0, 5, "1.5", " 1", "K1", None):
+            with pytest.raises(ValueError):
+                Kind.of(value)
 
     def test_universe_mismatch(self, derived_space):
         other = IVFuzzySet.top(Universe(("a", "b")))
@@ -206,6 +214,25 @@ class TestAgainstOracle:
             assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(
                 space, kind, cx, crisp_tables)
 
+    def test_the_oracle_rejects_tables_of_another_space(self):
+        def space(seed):
+            return gen_space(
+                GenConfig(universe_size=3, parameter_count=2, grid_denominator=4, seed=seed)
+            )
+
+        own, other, twin = space(1), space(6), space(1)
+        assert twin is not own
+        x = IVFuzzySet(own.universe, (iv("[1/4,3/4]"),) * 3)
+        # With the tables of seed 6, the kind-1 upper approximation read [1/4,1/2] everywhere.
+        assert oracle_fuzzy_upper(own, 1, x).grades == (iv("[1/4,3/4]"),) * 3
+        for operator in (oracle_fuzzy_lower, oracle_fuzzy_upper):
+            with pytest.raises(ValueError, match="different space"):
+                operator(own, 1, x, oracle_fuzzy_tables(other))
+            # An equal space that is another object is the same space.
+            assert operator(own, 1, x, oracle_fuzzy_tables(twin)) == operator(own, 1, x)
+        with pytest.raises(ValueError, match="different space"):
+            fuzzy_upper(own, 1, x, NeighborhoodSystem(other))
+
 
 def assert_matches_oracle(space, ns, fx, cx):
     """The system's matrices and cuts, and all 16 operator results, equal the oracle's."""
@@ -221,6 +248,48 @@ def assert_matches_oracle(space, ns, fx, cx):
         assert fuzzy_upper(space, kind, fx, ns) == oracle_fuzzy_upper(space, kind, fx, fuzzy_tables)
         assert crisp_lower(space, kind, cx, ns) == oracle_crisp_lower(space, kind, cx, crisp_tables)
         assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(space, kind, cx, crisp_tables)
+
+
+class TestTargetMemos:
+    """A system and oracle tables keep their last target, and serve it to no other target."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_spaces(), st.data())
+    def test_a_kept_target_is_never_served_for_another(self, space, data):
+        u = space.universe
+        x = IVFuzzySet(u, tuple(data.draw(mixed_intervals()) for _ in u))
+        # No denominator of mixed_spaces is a multiple of 17, so an endpoint
+        # k/17 is neither among the space's codes nor over its denominator.
+        odd = Fraction(data.draw(st.integers(1, 16)), 17)
+        y = IVFuzzySet(u, (
+            IntervalValue(*sorted((odd, data.draw(endpoints)))),
+            *(data.draw(mixed_intervals()) for _ in u.objects[1:]),
+        ))
+        twin = IVFuzzySet(u, x.grades)
+        assert twin == x and twin is not x
+        ns, tables = NeighborhoodSystem(space), oracle_fuzzy_tables(space)
+        for target in (x, y, x, twin):
+            fresh_ns, fresh_tables = NeighborhoodSystem(space), oracle_fuzzy_tables(space)
+            for kind in Kind:
+                for fast, oracle in (
+                    (fuzzy_lower, oracle_fuzzy_lower), (fuzzy_upper, oracle_fuzzy_upper)
+                ):
+                    expected = fast(space, kind, target, fresh_ns)
+                    assert fast(space, kind, target, ns) == expected
+                    assert oracle(space, kind, target, fresh_tables) == expected
+                    assert oracle(space, kind, target, tables) == expected
+            if target is y:
+                assert ns.target_codes(y)[1] is not None  # y widened the codes
+                assert tables.scaled(y)[0] != tables.scale.d  # and forced a rescale
+
+    def test_each_scale_keeps_its_own_results(self, xyz):
+        # Over the space's D = 2 the int pair (1, 1) is [1/2,1/2]; over 6, to
+        # which a target on sixths rescales the rows, it is [1/6,1/6].
+        space = make_space(xyz.objects, {"e1": {o: "[1/2,1]" for o in xyz}}, "[1/2,1/2]")
+        tables = oracle_fuzzy_tables(space)
+        for text in ("[1/2,1/2]", "[1/6,1/6]", "[1/2,1/2]"):
+            x = IVFuzzySet(xyz, (iv(text),) * 3)
+            assert oracle_fuzzy_upper(space, 1, x, tables) == x
 
 
 class TestEndpointCodes:

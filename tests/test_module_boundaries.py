@@ -5,6 +5,14 @@ import a ``_``-prefixed name from another betacover module, nor read a
 ``_``-prefixed attribute of one it imported.  Dunder names such as
 ``__version__`` are public.
 
+Nor may a module read or write a ``_``-prefixed attribute of an object
+other than ``self`` or ``cls``, unless the module itself assigns that
+attribute on ``self`` or through ``object.__setattr__`` (or its local
+alias ``_setattr``): a class's private fields are for the module that
+defines it.  So ``Codes.widen`` may read another table's ``_index``, but
+``approximations`` may not stash a memo in a ``NeighborhoodSystem``'s
+private fields.
+
 Nor may a module read an interval's endpoints (an ``.lo`` or ``.hi``
 attribute), so that how endpoints are stored and compared is decided in
 ``intervals.py`` alone, and there in one place: a comparison between two
@@ -96,6 +104,79 @@ def test_the_guard_sees_both_forms(tmp_path):
         "from betacover.intervals import _unchecked",
         "nb._selected",
         "betacover.space._x",
+    ]
+
+
+SETATTR_CALLS = {"object.__setattr__", "_setattr"}
+
+
+def owned_fields(tree) -> set:
+    """The private attributes a module assigns on ``self`` or through ``object.__setattr__``."""
+    owned = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and _dotted(node.value) == "self"
+        ):
+            owned.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and _dotted(node.func) in SETATTR_CALLS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            owned.add(node.args[1].value)
+    return {name for name in owned if isinstance(name, str) and _private(name)}
+
+
+def foreign_fields(path: Path) -> list:
+    """(line, text) for each private attribute of another object that the module does not own."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owned = owned_fields(tree)
+    return sorted(
+        (node.lineno, f"{_dotted(node.value) or '<expr>'}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _private(node.attr)
+        and _dotted(node.value) not in ("self", "cls")
+        and node.attr not in owned
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_private_fields_are_touched_only_by_their_own_module(path):
+    assert foreign_fields(path) == []
+
+
+def test_the_field_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self._index = {}\n"
+        "        object.__setattr__(self, '_frozen', 1)\n"
+        "        _setattr(self, '_aliased', 2)\n"
+        "        self._count += 1\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._default, self._unset\n"
+        "    def widen(self, other):\n"
+        "        return other._index, other._frozen, other._aliased, other._count\n"
+        "def stash(ns, target):\n"
+        "    ns._target = target\n"
+        "    return ns._codes, ns.space._beta, make()._x, ns.__dict__, ns.codes\n"
+        "del ns._kernels\n"
+        "value = object.__setattr__(ns, 'plain', 3)\n"
+        "elsewhere._setup(self._index)\n"
+    )
+    assert foreign_fields(sample) == [
+        (13, "ns._target"),
+        (14, "<expr>._x"),
+        (14, "ns._codes"),
+        (14, "ns.space._beta"),
+        (15, "ns._kernels"),
+        (17, "elsewhere._setup"),
     ]
 
 

@@ -113,6 +113,14 @@ class TestMatrices:
         with pytest.raises(ValueError):
             NeighborhoodSystem(derived_space).kernel(kind)
 
+    @pytest.mark.parametrize("kind", [1.0, True, 2.0, 4.0])
+    def test_kernels_reject_what_only_hashes_like_a_number(self, derived_space, kind):
+        ns = NeighborhoodSystem(derived_space)
+        with pytest.raises(ValueError):
+            ns.kernel_codes(kind)
+        with pytest.raises(ValueError):
+            ns.kernel(kind)
+
 
 class TestEmptyIndexConvention:
     def test_convention_row_is_top_and_flagged(self, gap_space, xyz):
