@@ -62,6 +62,29 @@ def _parse_interval(text, location: str) -> IntervalValue:
         raise SpaceSyntaxError(str(exc), location) from None
 
 
+def _interval_reader():
+    """A reader of one document's interval literals, parsing each distinct text once.
+
+    Repeats of a literal get the same (immutable) ``IntervalValue``, so the
+    digit and exponent checks run once per distinct literal, still before
+    ``Fraction`` reads it.  Only ``str`` values are memo keys: any other JSON
+    value goes to ``_parse_interval`` and fails there with its location.  A
+    reader is made for one document and dropped with it, so its memo holds at
+    most one entry per distinct literal of that document.
+    """
+    seen = {}
+
+    def read(cell, location: str) -> IntervalValue:
+        if type(cell) is not str:
+            return _parse_interval(cell, location)
+        value = seen.get(cell)
+        if value is None:
+            value = seen[cell] = _parse_interval(cell, location)
+        return value
+
+    return read
+
+
 def space_to_doc(space: SoftSpace) -> dict:
     universe = space.universe
     return {
@@ -104,6 +127,7 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
         raise SpaceSyntaxError(
             f"membership for unknown parameters {excerpt(sorted(extra_params))}"
         )
+    read = _interval_reader()
     table = {}
     for p in parameters:
         if p not in membership:
@@ -119,10 +143,10 @@ def parse_space_doc(doc: dict) -> Tuple[SoftMapping, IntervalValue]:
         for o in universe.objects:
             if o not in cells:
                 raise IncompleteTableError(p, o)
-            row[o] = _parse_interval(cells[o], f"membership.{cut_name(p)}.{cut_name(o)}")
+            row[o] = read(cells[o], f"membership.{cut_name(p)}.{cut_name(o)}")
         table[p] = row
     mapping = SoftMapping.from_dict(universe, table)
-    beta = _parse_interval(doc["beta"], "beta")
+    beta = read(doc["beta"], "beta")
     return mapping, beta
 
 
@@ -149,6 +173,9 @@ def parse_space_csv(text: str) -> SoftMapping:
     parameters = header[1:]
     if not parameters:
         raise SpaceSyntaxError("CSV header names no parameters", "row 1")
+    if len(set(parameters)) != len(parameters):
+        raise SpaceSyntaxError("parameters must be nonempty and unique", "row 1")
+    read = _interval_reader()
     objects = []
     cells = {p: {} for p in parameters}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -157,7 +184,7 @@ def parse_space_csv(text: str) -> SoftMapping:
         obj = row[0]
         objects.append(obj)
         for p, cell in zip(parameters, row[1:]):
-            cells[p][obj] = _parse_interval(cell, f"row {lineno}, column {cut_name(p)}")
+            cells[p][obj] = read(cell, f"row {lineno}, column {cut_name(p)}")
     try:
         universe = Universe(tuple(objects))
     except ValueError as exc:
@@ -218,9 +245,9 @@ def parse_set_doc(doc: dict, universe: Universe):
         grades = _object(doc["grades"], "grades")
         if set(grades) != set(universe.objects):
             raise SpaceSyntaxError("grade keys must match the universe exactly", "grades")
+        read = _interval_reader()
         return IVFuzzySet.from_dict(
-            universe,
-            {o: _parse_interval(grades[o], f"grades.{cut_name(o)}") for o in universe.objects},
+            universe, {o: read(grades[o], f"grades.{cut_name(o)}") for o in universe.objects}
         )
     if mode == "crisp":
         if set(doc) != {"mode", "members"}:

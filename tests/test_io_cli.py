@@ -9,6 +9,7 @@ from betacover import (
     CrispSubset,
     DocumentError,
     IncompleteTableError,
+    IntervalValue,
     IVFuzzySet,
     SpaceSyntaxError,
     Universe,
@@ -59,6 +60,27 @@ class TestSpaceDocuments:
             parse_space_doc(doc)
         assert "membership.e1.y" in str(exc.value)
 
+    def test_each_distinct_literal_is_parsed_once_per_document(self, monkeypatch):
+        doc = json.loads(SPACE_JSON)
+        doc["membership"]["e2"] = dict(doc["membership"]["e1"])
+        doc["beta"] = "[0.6,0.7]"
+        texts = []
+        parse = IntervalValue.parse
+
+        def counted(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(IntervalValue, "parse", counted)
+        mapping, beta = parse_space_doc(doc)
+        assert sorted(texts) == ["[0.3,0.6]", "[0.4,0.5]", "[0.6,0.7]"]
+        e1, e2 = mapping.assignment
+        assert all(a is b for a, b in zip(e1.grades, e2.grades))
+        assert beta is e1.grade("x")
+        # the memo lives for one document: a second parse reads every literal again
+        assert parse_space_doc(doc)[1] is not beta
+        assert len(texts) == 6
+
     def test_unknown_keys_rejected(self):
         doc = json.loads(SPACE_JSON)
         doc["extra"] = 1
@@ -103,6 +125,11 @@ class TestCsv:
         with pytest.raises(SpaceSyntaxError):
             parse_space_csv('object,e1\nx,"' + "0" * 200000 + '"\n')
 
+    def test_duplicate_parameters_rejected(self):
+        with pytest.raises(SpaceSyntaxError) as exc:
+            parse_space_csv('object,e1,e1\nx,"[0,1]","[1,1]"\n')
+        assert str(exc.value) == "parameters must be nonempty and unique (at row 1)"
+
     def test_ragged_row_rejected(self):
         with pytest.raises(IncompleteTableError):
             parse_space_csv('object,e1,e2\nx,"[0,1]"\n')
@@ -145,12 +172,30 @@ HOSTILE_DOCUMENTS = {
         _space_with(membership={"e1": ["x", "y", "z"], "e2": {}}),
         "(at membership.e1)",
     ),
+    "cell-value-list": (
+        "space",
+        _space_with(membership={"e1": {"x": ["[0,1]"], "y": "[1,1]", "z": "[1,1]"}, "e2": {}}),
+        "(at membership.e1.x)",
+    ),
+    "repeated-bad-literal": (
+        "space",
+        _space_with(
+            beta="[0.7,0.3]",
+            membership={p: {o: "[0.7,0.3]" for o in "xyz"} for p in ("e1", "e2")},
+        ),
+        "(at membership.e1.x)",
+    ),
     "huge-exponent": ("space", _space_with(beta="[1e-99999999,0.5]"), "(at beta)"),
     "underscored-exponent": ("space", _space_with(beta="[1e-99_999_999,0.5]"), "(at beta)"),
     "space-deep-nesting": ("space", "[" * 200000, "nested too deeply"),
     "space-deep-object": ("space", '{"a":' * 100000, "nested too deeply"),
     "space-huge-integer": ("space", '{"universe": ' + "1" * 5000 + "}", "4300 digits"),
     "grades-list": ("set", '{"mode":"fuzzy","grades":["x","y","z"]}', "(at grades)"),
+    "grade-value-dict": (
+        "set",
+        '{"mode":"fuzzy","grades":{"x":{"lo":"0"},"y":"[0,1]","z":"[0,1]"}}',
+        "(at grades.x)",
+    ),
     "members-string": ("set", '{"mode":"crisp","members":"xz"}', "(at members)"),
     "members-nested": ("set", '{"mode":"crisp","members":[["x"]]}', "(at members)"),
     "set-deep-nesting": ("set", "[" * 200000, "nested too deeply"),
@@ -345,6 +390,14 @@ class TestCli:
         bad.write_text("{not json")
         assert run_cli(["validate", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_validate_csv_duplicate_parameters_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "space.csv"
+        path.write_text('object,e1,e1\nx,"[0,1]","[1,1]"\n')
+        assert run_cli(["validate", "--format", "csv", "--beta", "[0,1]", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: parameters must be nonempty and unique (at row 1)\n"
+        )
 
     def test_bad_policy_exits_2(self, space_file, capsys):
         assert run_cli(["validate", "--policy", "mend", space_file]) == 2

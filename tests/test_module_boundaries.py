@@ -20,6 +20,9 @@ products (a cross-multiplied endpoint compare) appears only inside ``_le``.
 ``generate.py`` is exempt from the endpoint rule: its grid samplers and
 ``snap_candidates`` work on the endpoint grid.
 
+In ``serialize.py``, ``IntervalValue.parse`` is read inside ``_parse_interval``
+alone, so the space, CSV and set documents read a literal the same way.
+
 The oracle is the independent check on the fast path, so it takes only
 ``Kind`` from ``approximations``, nothing from ``neighborhoods``, and of
 ``intervals`` only ``IntervalValue`` and the ``scaled_endpoints`` helper.  The operators in ``approximations`` work on
@@ -212,8 +215,8 @@ def _product(node) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
 
 
-def product_compares(path: Path) -> list:
-    """(line, function) for each comparison between two products, by the innermost enclosing def.
+def sites(tree, match) -> list:
+    """(line, function) for each node ``match`` accepts, by the innermost enclosing def.
 
     ``function`` is None at module level.
     """
@@ -221,15 +224,25 @@ def product_compares(path: Path) -> list:
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Compare):
-                operands = [child.left, *child.comparators]
-                if any(_product(a) and _product(b) for a, b in zip(operands, operands[1:])):
-                    found.append((child.lineno, function))
+            if match(child):
+                found.append((child.lineno, function))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else function)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    visit(tree, None)
     return sorted(found, key=lambda site: site[0])
+
+
+def _product_compare(node) -> bool:
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(_product(a) and _product(b) for a, b in zip(operands, operands[1:]))
+
+
+def product_compares(path: Path) -> list:
+    """(line, function) for each comparison between two products."""
+    return sites(ast.parse(path.read_text(), filename=str(path)), _product_compare)
 
 
 def test_endpoints_are_compared_only_in_le():
@@ -254,6 +267,54 @@ def test_the_compare_guard_sees_every_form(tmp_path):
     )
     assert product_compares(sample) == [
         (1, None), (4, "inner"), (5, "_le"), (8, "pick"), (10, "chained"),
+    ]
+
+
+def interval_parses(path: Path) -> list:
+    """(line, function) for each read of ``IntervalValue.parse``, under any import alias."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"IntervalValue"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "IntervalValue" and alias.asname
+    }
+    return sites(
+        tree,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "parse"
+        and _dotted(node.value).rpartition(".")[2] in names,
+    )
+
+
+def test_serialize_parses_interval_literals_in_one_function():
+    # The space, CSV and set documents all read their literals through it.
+    assert [function for _, function in interval_parses(PACKAGE / "serialize.py")] == [
+        "_parse_interval"
+    ]
+
+
+def test_the_parse_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import IntervalValue as IV\n"
+        "top = IntervalValue.parse('[0,1]')\n"
+        "def _parse_interval(text):\n"
+        "    return IntervalValue.parse(text)\n"
+        "def reader():\n"
+        "    def read(cell):\n"
+        "        return IV.parse(cell)\n"
+        "    parse = intervals.IntervalValue.parse\n"
+        "    return read, parse\n"
+        "class Doc:\n"
+        "    async def load(self, text):\n"
+        "        return betacover.IntervalValue.parse(text)\n"
+        "def untouched(text):\n"
+        "    return json.parse(text), parse_endpoint(text), IntervalValue.text\n"
+    )
+    assert interval_parses(sample) == [
+        (2, None), (4, "_parse_interval"), (7, "read"), (8, "reader"), (12, "load"),
     ]
 
 
