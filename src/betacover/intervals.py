@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import EmptyFamilyError, excerpt
 
@@ -156,12 +156,24 @@ class IntervalValue:
         return cls(v, v)
 
     @classmethod
-    def parse(cls, text: str) -> "IntervalValue":
-        """Parse the canonical text form "[lo,hi]"."""
+    def parse(cls, text: str, endpoints: Optional[Dict[str, Fraction]] = None) -> "IntervalValue":
+        """Parse the canonical text form "[lo,hi]".
+
+        ``endpoints`` memoizes endpoint texts across calls: a text it lacks
+        goes through ``parse_endpoint`` and only a successful result is
+        stored.  The interval itself is always built by the checked
+        constructor, so ``lo <= hi`` is checked whatever the memo holds.
+        """
         m = _INTERVAL_RE.match(text)
         if m is None:
             raise ValueError(f"bad interval literal {excerpt(text)}: expected '[lo,hi]'")
-        return cls(parse_endpoint(m.group(1)), parse_endpoint(m.group(2)))
+        if endpoints is None:
+            endpoints = {}
+        lo, hi = m.groups()
+        for endpoint in (lo, hi):
+            if endpoint not in endpoints:
+                endpoints[endpoint] = parse_endpoint(endpoint)
+        return cls(endpoints[lo], endpoints[hi])
 
     @property
     def is_degenerate(self) -> bool:
@@ -177,7 +189,7 @@ class IntervalValue:
 def _coerce(value: EndpointLike) -> Fraction:
     if isinstance(value, Fraction):
         result = value
-    elif isinstance(value, int):
+    elif type(value) is int:  # by type: a bool is no endpoint
         result = Fraction(value)
     elif isinstance(value, str):
         return parse_endpoint(value)

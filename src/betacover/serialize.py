@@ -53,11 +53,11 @@ def _object(value, location: str) -> dict:
     return value
 
 
-def _parse_interval(text, location: str) -> IntervalValue:
+def _parse_interval(text, location: str, endpoints=None) -> IntervalValue:
     if not isinstance(text, str):
         raise SpaceSyntaxError(f"interval literal must be a string, got {excerpt(text)}", location)
     try:
-        return IntervalValue.parse(text)
+        return IntervalValue.parse(text, endpoints)
     except ValueError as exc:
         raise SpaceSyntaxError(str(exc), location) from None
 
@@ -67,19 +67,23 @@ def _interval_reader():
 
     Repeats of a literal get the same (immutable) ``IntervalValue``, so the
     digit and exponent checks run once per distinct literal, still before
-    ``Fraction`` reads it.  Only ``str`` values are memo keys: any other JSON
-    value goes to ``_parse_interval`` and fails there with its location.  A
-    reader is made for one document and dropped with it, so its memo holds at
-    most one entry per distinct literal of that document.
+    ``Fraction`` reads it.  A second memo does the same for endpoint texts:
+    each distinct one goes once through ``parse_endpoint``, while every
+    distinct literal is still built by the checked constructor.  Only ``str``
+    values are memo keys: any other JSON value goes to ``_parse_interval`` and
+    fails there with its location.  A reader is made for one document and
+    dropped with it, so its memos hold at most one entry per distinct literal
+    and endpoint of that document.
     """
     seen = {}
+    endpoints = {}
 
     def read(cell, location: str) -> IntervalValue:
         if type(cell) is not str:
             return _parse_interval(cell, location)
         value = seen.get(cell)
         if value is None:
-            value = seen[cell] = _parse_interval(cell, location)
+            value = seen[cell] = _parse_interval(cell, location, endpoints)
         return value
 
     return read

@@ -45,6 +45,14 @@ class TestConstruction:
     def test_point_is_degenerate(self):
         assert IntervalValue.point("0.4").is_degenerate
 
+    def test_bools_are_not_endpoints(self):
+        for build in (lambda: IntervalValue.of(False, True), lambda: IntervalValue.point(True),
+                      lambda: IntervalValue.of(0, True)):
+            with pytest.raises(TypeError, match="bool"):
+                build()
+        assert IntervalValue.of(0, 1) == IntervalValue.of(Fraction(0), "1") == iv("[0,1]")
+        assert IntervalValue.point(1) == TOP
+
     @pytest.mark.parametrize("lo,hi", [("0.7", "0.3"), ("-0.1", "0.5"), ("0", "1.5")])
     def test_invalid_endpoints_rejected(self, lo, hi):
         with pytest.raises(ValueError):

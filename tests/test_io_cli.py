@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +22,16 @@ from betacover import (
     serialize_space,
     serialize_space_csv,
 )
-from betacover import cli
+from betacover import cli, intervals
 from betacover.cli import run_cli
-from betacover.serialize import parse_set_doc, parse_space_csv, parse_space_doc, space_to_doc
+from betacover.intervals import MAX_DIGITS, MAX_EXPONENT
+from betacover.serialize import (
+    parse_set_doc,
+    parse_space_csv,
+    parse_space_doc,
+    set_to_doc,
+    space_to_doc,
+)
 
 from conftest import fuzzy, iv, mixed_intervals, mixed_spaces
 
@@ -67,9 +77,9 @@ class TestSpaceDocuments:
         texts = []
         parse = IntervalValue.parse
 
-        def counted(text):
+        def counted(text, endpoints=None):
             texts.append(text)
-            return parse(text)
+            return parse(text, endpoints)
 
         monkeypatch.setattr(IntervalValue, "parse", counted)
         mapping, beta = parse_space_doc(doc)
@@ -80,6 +90,37 @@ class TestSpaceDocuments:
         # the memo lives for one document: a second parse reads every literal again
         assert parse_space_doc(doc)[1] is not beta
         assert len(texts) == 6
+
+        # and each distinct endpoint text goes once through parse_endpoint
+        endpoints = []
+        parse_endpoint = intervals.parse_endpoint
+
+        def counted_endpoint(text):
+            endpoints.append(text)
+            return parse_endpoint(text)
+
+        monkeypatch.setattr(intervals, "parse_endpoint", counted_endpoint)
+        parse_space_doc(doc)
+        assert sorted(endpoints) == ["0.3", "0.4", "0.5", "0.6", "0.7"]
+        doc["membership"]["e1"] = {"x": "[0.5,1]", "y": "[1/2,1]", "z": "[5e-1,1/2]"}
+        doc["beta"] = "[0.5,5e-1]"
+        endpoints.clear()
+        mapping, beta = parse_space_doc(doc)
+        assert sorted(endpoints) == ["0.3", "0.4", "0.5", "0.6", "0.7", "1", "1/2", "5e-1"]
+        e1 = mapping.assignment[0]
+        assert e1.grade("x").lo == e1.grade("y").lo == e1.grade("z").lo == beta.hi
+        csv_text = serialize_space_csv(parse_space(SPACE_JSON))
+        endpoints.clear()
+        parse_space_csv(csv_text)
+        assert sorted(endpoints) == ["0.3", "0.4", "0.5", "0.55", "0.6", "0.7", "0.9"]
+        endpoints.clear()
+        set_doc = {"mode": "fuzzy", "grades": {"x": "[0.5,1]", "y": "[1/2,0.5]", "z": "[5e-1,1]"}}
+        grades = parse_set_doc(set_doc, mapping.universe)
+        assert sorted(endpoints) == ["0.5", "1", "1/2", "5e-1"]
+        assert grades.grade("x").lo == grades.grade("y").hi == grades.grade("z").lo
+        # a second document reads every endpoint again
+        parse_set_doc(set_doc, mapping.universe)
+        assert len(endpoints) == 8
 
     def test_unknown_keys_rejected(self):
         doc = json.loads(SPACE_JSON)
@@ -185,6 +226,19 @@ HOSTILE_DOCUMENTS = {
         ),
         "(at membership.e1.x)",
     ),
+    # both endpoints of e1.y are endpoint-memo hits; lo <= hi must still be checked
+    "inverted-known-endpoints": (
+        "space",
+        _space_with(membership={"e1": {"x": "[0.3,0.7]", "y": "[0.7,0.3]", "z": "[1,1]"},
+                                "e2": {o: "[1,1]" for o in "xyz"}}),
+        "(at membership.e1.y)",
+    ),
+    "huge-exponent-beside-known-endpoint": (
+        "space",
+        _space_with(membership={"e1": {"x": "[0.2,0.5]", "y": "[0.2,1e-99999999]", "z": "[1,1]"},
+                                "e2": {o: "[1,1]" for o in "xyz"}}),
+        "(at membership.e1.y)",
+    ),
     "huge-exponent": ("space", _space_with(beta="[1e-99999999,0.5]"), "(at beta)"),
     "underscored-exponent": ("space", _space_with(beta="[1e-99_999_999,0.5]"), "(at beta)"),
     "space-deep-nesting": ("space", "[" * 200000, "nested too deeply"),
@@ -195,6 +249,11 @@ HOSTILE_DOCUMENTS = {
         "set",
         '{"mode":"fuzzy","grades":{"x":{"lo":"0"},"y":"[0,1]","z":"[0,1]"}}',
         "(at grades.x)",
+    ),
+    "set-inverted-known-endpoints": (
+        "set",
+        '{"mode":"fuzzy","grades":{"x":"[0.2,0.5]","y":"[0.5,0.2]","z":"[0,1]"}}',
+        "(at grades.y)",
     ),
     "members-string": ("set", '{"mode":"crisp","members":"xz"}', "(at members)"),
     "members-nested": ("set", '{"mode":"crisp","members":[["x"]]}', "(at members)"),
@@ -357,6 +416,108 @@ def test_any_json_value_is_a_space_or_a_document_error(doc):
 def test_any_json_value_is_a_set_or_a_document_error(doc):
     try:
         parse_set_doc(doc, Universe(("x", "y", "z")))
+    except DocumentError:
+        pass
+
+
+# Endpoint texts at and just past each bound parse_endpoint enforces.
+HOSTILE_ENDPOINTS = (
+    "0." + "1" * MAX_DIGITS,
+    "0." + "1" * (MAX_DIGITS + 1),
+    "1/1" + "0" * (MAX_DIGITS - 1),
+    "1/1" + "0" * MAX_DIGITS,
+    f"1e-{MAX_EXPONENT}",
+    f"1e-{MAX_EXPONENT + 1}",
+    f"1e+{MAX_EXPONENT}",
+    f"1e{MAX_EXPONENT + 1}",
+    "1e-1_001",
+    "0.5_5",
+    "1_0/2_0",
+    "1__0/20",
+    "1/0",
+    "0/0",
+)
+
+
+def _nodes(doc, path=()):
+    """(path, node) for every node of a decoded document, the root included."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def hostile_literals(draw, known):
+    """A hostile endpoint alone or in an interval, or two of ``known`` inverted."""
+    endpoint = draw(st.sampled_from(HOSTILE_ENDPOINTS))
+    choices = [endpoint, f"[{endpoint},1]", f"[0,{endpoint}]", f"[{endpoint},{endpoint}]"]
+    if known:
+        lo, hi = sorted(draw(st.lists(st.sampled_from(known), min_size=2, max_size=2)),
+                        key=Fraction)
+        choices.append(f"[{hi},{lo}]")
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def mutated_documents(draw):
+    """(role, document, universe): a valid space, CSV or set document with one node replaced.
+
+    The replacement is a random JSON value (a random text in a CSV cell) or a
+    hostile literal, so that cells, beta and grades are reached as often as
+    the structure around them.
+    """
+    space = draw(mixed_spaces())
+    universe = space.universe
+    role = draw(st.sampled_from(["space", "csv", "set"]))
+    if role == "space":
+        doc = space_to_doc(space)
+    elif role == "csv":
+        doc = list(csv.reader(io.StringIO(serialize_space_csv(space))))
+    else:
+        fuzzy_set = IVFuzzySet(universe, tuple(draw(mixed_intervals()) for _ in universe))
+        crisp_set = CrispSubset.of(universe, draw(st.sets(st.sampled_from(universe.objects))))
+        doc = set_to_doc(draw(st.sampled_from([fuzzy_set, crisp_set])))
+    nodes = list(_nodes(doc))
+    known = [text for _, node in nodes if isinstance(node, str) and node.startswith("[")
+             for text in node[1:-1].split(",")]
+    path = draw(st.sampled_from([path for path, _ in nodes if role != "csv" or len(path) == 2]))
+    other = st.text(max_size=6) if role == "csv" else JSON_VALUES
+    doc = _replaced(doc, path, draw(other | hostile_literals(known)))
+    if role == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(doc)
+        doc = buf.getvalue()
+    return role, doc, universe
+
+
+@settings(max_examples=300, deadline=500)
+@given(mutated_documents())
+def test_a_document_with_one_node_replaced_parses_or_is_a_document_error(case):
+    role, doc, universe = case
+    try:
+        if role == "space":
+            parse_space_doc(doc)
+        elif role == "csv":
+            parse_space_csv(doc)
+        else:
+            parse_set_doc(doc, universe)
     except DocumentError:
         pass
 
