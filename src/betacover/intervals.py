@@ -31,10 +31,11 @@ literal oracle its own exact ints: endpoints over one common denominator.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -365,6 +366,16 @@ class Codes:
             lows.append(index[v.lo.as_integer_ratio()])
             highs.append(index[v.hi.as_integer_ratio()])
         return tuple(lows), tuple(highs)
+
+    def at_least(self, value: IntervalValue) -> Tuple[int, int]:
+        """The least codes whose points are >= the value's low and high endpoints.
+
+        A code k then stands for a point >= an endpoint iff k is >= its code,
+        whether or not the table numbers that endpoint.
+        """
+        return tuple(
+            bisect_left(self.points, True, key=partial(_le, x)) for x in (value.lo, value.hi)
+        )
 
     def decode(self, lows: _CodeRow, highs: _CodeRow) -> Tuple[IntervalValue, ...]:
         """The intervals ``[points[a], points[b]]``, built unchecked from the points."""

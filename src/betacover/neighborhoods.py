@@ -11,16 +11,20 @@ The complementary neighborhood is the transpose of the fuzzy
 neighborhood matrix.  Crisp neighborhoods threshold the fuzzy grades at
 beta; the crisp complementary neighborhood is defined by the same
 thresholding applied to the transpose.  Every neighborhood is read from
-a ``NeighborhoodSystem``, built once per space on endpoint codes
-(``intervals.Codes``): a row is the int ``min`` of the selected sets'
-codes and a crisp set a bitmask with bit j for object j; the
-``IntervalValue`` matrices are decoded when first read.  ``fuzzy_matrix``
-gives the fuzzy matrix alone, for any mapping and beta.
+a ``NeighborhoodSystem``, built once per space on its mapping's endpoint
+code table (``SoftMapping.codes``), with beta placed among the codes by
+``Codes.at_least``: a row is the int ``min`` of the selected sets' codes
+and a crisp set a bitmask with bit j for object j.  A beta-cut of a meet
+is the intersection of the beta-cuts, so the crisp sets follow from one
+cut per parameter and the fuzzy rows are built only when first read;
+the ``IntervalValue`` matrices are decoded when first read too.
+``fuzzy_matrix`` gives the fuzzy matrix alone, for any mapping and beta.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import reduce
+from operator import and_, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
@@ -40,32 +44,29 @@ Matrix = Tuple[Tuple[IntervalValue, ...], ...]
 _CodeMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def _code_rows(mapping: SoftMapping, beta: IntervalValue):
-    """The codes, beta's codes, the low and high code rows, and the objects selecting no set.
+def _code_rows(mapping: SoftMapping, beta: Tuple[int, int]) -> Tuple[_CodeMatrix, _CodeMatrix]:
+    """The low and high code rows, under ``mapping.codes``, for beta's ``Codes.at_least`` codes.
 
     Row i is the meet of the sets whose grade at object i dominates beta,
     or the top row [1,1]^U when no set does.
     """
-    codes = Codes(chain((beta,), *(fs.grades for fs in mapping.assignment)))
-    (b_lo,), (b_hi,) = codes.encode((beta,))
-    sets = [codes.encode(fs.grades) for fs in mapping.assignment]
-    top_row = (codes.top,) * len(mapping.universe)
-    lows, highs, empty = [], [], []
+    b_lo, b_hi = beta
+    sets = mapping.set_codes
+    top_row = (mapping.codes.top,) * len(mapping.universe)
+    lows, highs = [], []
     for i in range(len(mapping.universe)):
         selected = [s for s in sets if s[0][i] >= b_lo and s[1][i] >= b_hi]
         if not selected:
-            empty.append(i)
             selected = [(top_row, top_row)]
         # The first set is passed twice, so that a lone set still gives min two arguments.
         lows.append(tuple(map(min, selected[0][0], *(lo for lo, _ in selected))))
         highs.append(tuple(map(min, selected[0][1], *(hi for _, hi in selected))))
-    return codes, (b_lo, b_hi), tuple(lows), tuple(highs), empty
+    return tuple(lows), tuple(highs)
 
 
 def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
     """The fuzzy neighborhood matrix of any mapping and beta, covering or not."""
-    codes, _, lows, highs, _ = _code_rows(mapping, beta)
-    return tuple(map(codes.decode, lows, highs))
+    return tuple(map(mapping.codes.decode, *_code_rows(mapping, mapping.codes.at_least(beta))))
 
 
 # Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
@@ -82,27 +83,40 @@ def _kind_number(kind) -> int:
 
 
 class NeighborhoodSystem:
-    """Neighborhood matrices of one space, on the space's endpoint codes.
+    """Neighborhood matrices of one space, on its mapping's endpoint codes.
 
-    The code rows, their transposes and both crisp bitmasks are built at
-    construction; the kind-3 and kind-4 kernels and the decoded matrices on
-    first use.  The codes of the last fuzzy target are kept (``target_codes``).
+    The crisp sets come from the per-parameter beta-cuts ``c_s``, bitmasks
+    built at construction: a beta-cut of a meet is the intersection of the
+    cuts, so x's crisp neighborhood is the intersection of the ``c_s`` that
+    hold x, its crisp complementary neighborhood the intersection of the
+    complements of those that do not, and x has an empty index set when no
+    ``c_s`` holds it.  The fuzzy code rows and their transposes are built on
+    the first ``kernel_codes`` call, so a crisp-only caller never builds
+    them; the kind-3 and kind-4 kernels and the decoded matrices on first
+    use too.  The codes of the last fuzzy target are kept (``target_codes``).
     """
 
     def __init__(self, space: SoftSpace):
         self.space = space
-        self._codes, self._beta, n_lo, n_hi, empty = _code_rows(space.mapping, space.beta)
-        m_lo, m_hi = tuple(zip(*n_lo)), tuple(zip(*n_hi))
-        self._crisp = tuple(map(self.cut, n_lo, n_hi))
-        self._crisp_co = tuple(map(self.cut, m_lo, m_hi))
-        self.empty_index_objects = frozenset(space.universe.objects[i] for i in empty)
-        self._kernel_codes = {1: (n_lo, n_hi), 2: (m_lo, m_hi)}
+        self._codes = space.mapping.codes
+        self._beta = self._codes.at_least(space.beta)
+        n, cuts = len(space.universe), [self.cut(*s) for s in space.mapping.set_codes]
+        full = (1 << n) - 1
+        self._crisp = tuple(reduce(and_, (c for c in cuts if c >> i & 1), full) for i in range(n))
+        self._crisp_co = tuple(
+            reduce(and_, (full ^ c for c in cuts if not c >> i & 1), full) for i in range(n)
+        )
+        covered = reduce(or_, cuts)
+        self.empty_index_objects = frozenset(
+            o for i, o in enumerate(space.universe.objects) if not covered >> i & 1
+        )
+        self._kernel_codes = {}
         self._kernels = {}
         self._target = self._target_codes = None
 
     @property
     def codes(self) -> Codes:
-        """The endpoint codes of the space's grades and beta."""
+        """The endpoint codes of the space's grades: its mapping's ``codes``."""
         return self._codes
 
     def cut(self, lows: Tuple[int, ...], highs: Tuple[int, ...]) -> int:
@@ -140,6 +154,9 @@ class NeighborhoodSystem:
         (``Codes.widen``), the codes are those of the wider table.
         """
         kind = _kind_number(kind)
+        if not self._kernel_codes:
+            n = _code_rows(self.space.mapping, self._beta)
+            self._kernel_codes = {1: n, 2: tuple(tuple(zip(*half)) for half in n)}
         if kind not in self._kernel_codes:
             self._kernel_codes[kind] = tuple(
                 tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))

@@ -11,19 +11,23 @@ state; ingestion chooses between rejecting and repairing non-coverings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Mapping, Tuple
 
 from .errors import NotACoveringError, UnknownParameterError
 from .fuzzysets import IVFuzzySet, Universe
-from .intervals import TOP, IntervalValue, family_join, join, leq_bool
+from .intervals import TOP, Codes, IntervalValue, join, leq_bool
 
 
 @dataclass(frozen=True)
 class SoftMapping:
     """Parameters with one interval-valued fuzzy set each, over one universe.
 
-    ``joins`` is a read-only tuple: per object, in universe order, the join
-    of its grades over all parameters, computed once at construction.
+    Built once at construction, read-only: ``codes``, the endpoint code
+    table (``intervals.Codes``) of all the grades; ``set_codes``, per
+    parameter, the ``(lows, highs)`` code rows of its set under ``codes``;
+    and ``joins``, per object in universe order, the join of its grades over
+    all parameters: the int ``max`` of the code rows, decoded.
     """
 
     universe: Universe
@@ -45,9 +49,14 @@ class SoftMapping:
             if fs.universe != self.universe:
                 raise ValueError("all assigned sets must share the mapping's universe")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(parameters)})
-        object.__setattr__(
-            self, "joins", tuple(map(family_join, zip(*(fs.grades for fs in assignment))))
-        )
+        codes = Codes(chain.from_iterable(fs.grades for fs in assignment))
+        sets = tuple(codes.encode(fs.grades) for fs in assignment)
+        lows, highs = zip(*sets)
+        # The first set is passed twice, so that a lone set still gives max two arguments.
+        joins = codes.decode(map(max, lows[0], *lows), map(max, highs[0], *highs))
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "set_codes", sets)
+        object.__setattr__(self, "joins", joins)
 
     @classmethod
     def from_dict(

@@ -10,6 +10,13 @@ def iv(text: str) -> IntervalValue:
     return IntervalValue.parse(text)
 
 
+def hostile_interval(rng) -> IntervalValue:
+    """An interval over one fresh odd 200-bit denominator."""
+    d = rng.getrandbits(200) | 1 << 199 | 1
+    lo, hi = sorted((rng.randrange(d + 1), rng.randrange(d + 1)))
+    return IntervalValue(Fraction(lo, d), Fraction(hi, d))
+
+
 def make_space(universe, table, beta):
     u = Universe(tuple(universe))
     parsed = {p: {o: iv(t) for o, t in row.items()} for p, row in table.items()}

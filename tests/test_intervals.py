@@ -424,6 +424,27 @@ class TestCodes:
         with pytest.raises(KeyError):
             codes.encode([iv("[0.25,0.5]")])
 
+    def test_at_least_places_endpoints_on_between_and_at_the_ends(self):
+        codes = Codes([iv("[1/4,1/2]")])
+        assert codes.points == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+        assert codes.at_least(iv("[1/4,1/2]")) == (1, 2)  # each endpoint a point
+        assert codes.at_least(iv("[1/3,3/5]")) == (2, 3)  # each strictly between two
+        assert codes.at_least(iv("[0,1]")) == (0, codes.top)
+        assert codes.at_least(iv("[0,0]")) == (0, 0)
+        assert codes.at_least(iv("[1,1]")) == (codes.top, codes.top)
+        # Just above a point and just below the next one.
+        assert codes.at_least(IntervalValue(Fraction(1, 4) + Fraction(1, 2**200),
+                                            Fraction(3, 4) - Fraction(1, 2**200))) == (2, 3)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(st.lists(mixed_intervals(), min_size=1, max_size=6),
+           st.one_of(mixed_intervals(), off_grid_intervals()))
+    def test_at_least_is_the_least_code_of_a_point_at_or_above(self, family, value):
+        codes = Codes(family)
+        for x, code in zip((value.lo, value.hi), codes.at_least(value)):
+            assert codes.points[code] >= x
+            assert code == 0 or codes.points[code - 1] < x
+
 
 class TestScaledEndpoints:
     """The oracle's ints: endpoints over one common denominator.

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from betacover import (
     IncompleteTableError,
     IntervalValue,
     IVFuzzySet,
+    SoftMapping,
+    SoftSpace,
     SpaceSyntaxError,
     Universe,
     parse_set,
@@ -26,6 +31,7 @@ from betacover import cli, intervals
 from betacover.cli import run_cli
 from betacover.intervals import MAX_DIGITS, MAX_EXPONENT
 from betacover.serialize import (
+    dumps,
     parse_set_doc,
     parse_space_csv,
     parse_space_doc,
@@ -520,6 +526,39 @@ def test_a_document_with_one_node_replaced_parses_or_is_a_document_error(case):
             parse_set_doc(doc, universe)
     except DocumentError:
         pass
+
+
+def _cli_exit(argv) -> int:
+    """``run_cli``'s exit code, its stdout and stderr swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents(), st.sampled_from(["1", "2", "3", "4"]))
+def test_a_document_with_one_node_replaced_exits_0_or_2_through_the_cli(case, kind):
+    # Parsing builds the mapping's code table, so validate reaches it too.
+    role, doc, universe = case
+    with tempfile.TemporaryDirectory() as tmp:
+        space = Path(tmp, "space")
+        targets = {mode: Path(tmp, f"{mode}.json") for mode in ("fuzzy", "crisp")}
+        flags = ["--format", "csv", "--beta", "[0,0]"] if role == "csv" else []
+        if role == "set":
+            mapping = SoftMapping.from_dict(universe, {"e1": {o: iv("[1,1]") for o in universe}})
+            space.write_text(dumps(space_to_doc(SoftSpace(mapping, iv("[0,1]")))))
+            for path in targets.values():
+                path.write_text(json.dumps(doc))
+        else:
+            space.write_text(doc if role == "csv" else json.dumps(doc))
+            targets["fuzzy"].write_text(dumps(set_to_doc(IVFuzzySet.top(universe))))
+            targets["crisp"].write_text(dumps(set_to_doc(CrispSubset.of(universe, universe))))
+        runs = [["validate", *flags, str(space)]]
+        runs += [["approximate", *flags, str(space), "--kind", kind, "--mode", mode,
+                  "--set", str(path)] for mode, path in targets.items()]
+        for argv in runs:
+            start = time.perf_counter()
+            assert _cli_exit(argv) in (0, 2)
+            assert time.perf_counter() - start < 5
 
 
 @pytest.fixture

@@ -22,6 +22,9 @@ products (a cross-multiplied endpoint compare) appears only inside ``_le``.
 
 In ``serialize.py``, ``IntervalValue.parse`` is read inside ``_parse_interval``
 alone, so the space, CSV and set documents read a literal the same way.
+A ``Codes`` table is built only by ``SoftMapping`` in ``space.py`` and by
+``Codes.widen``, so each mapping has one table that its neighborhood
+systems share.
 
 The oracle is the independent check on the fast path, so it takes only
 ``Kind`` from ``approximations``, nothing from ``neighborhoods``, and of
@@ -315,6 +318,52 @@ def test_the_parse_guard_sees_every_form(tmp_path):
     )
     assert interval_parses(sample) == [
         (2, None), (4, "_parse_interval"), (7, "read"), (8, "reader"), (12, "load"),
+    ]
+
+
+def codes_constructions(path: Path) -> list:
+    """(line, function) for each call of ``Codes``, under any import alias."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"Codes"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "Codes" and alias.asname
+    }
+    return sites(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and _dotted(node.func).rpartition(".")[2] in names,
+    )
+
+
+def test_a_code_table_is_built_only_for_a_mapping_and_by_widen():
+    # One table per mapping: the neighborhood system and fuzzy_matrix reuse
+    # the mapping's, and a target off its points widens a copy.
+    built = [
+        (path.name, function) for path in MODULES for _, function in codes_constructions(path)
+    ]
+    assert built == [("intervals.py", "widen"), ("space.py", "__post_init__")]
+
+
+def test_the_codes_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .intervals import Codes as Table\n"
+        "top = Codes([])\n"
+        "def _code_rows(mapping):\n"
+        "    return Table(mapping.grades)\n"
+        "class System:\n"
+        "    def __init__(self, space):\n"
+        "        self.codes = intervals.Codes(space.grades, ())\n"
+        "    async def load(self, values):\n"
+        "        return betacover.intervals.Codes(values)\n"
+        "def untouched(codes: Codes, values):\n"
+        "    return Codes.widen, codes.encode(values), Codes, isinstance(codes, Codes)\n"
+    )
+    assert codes_constructions(sample) == [
+        (2, None), (4, "_code_rows"), (7, "__init__"), (9, "load"),
     ]
 
 

@@ -1,16 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from betacover import (
+    CrispSubset,
     IVFuzzySet,
     Kind,
     NeighborhoodSystem,
+    NotACoveringError,
+    SoftMapping,
     SoftSpace,
     Universe,
     UnknownObjectError,
+    approximate,
+    build_space,
     crisp_of,
+    neighborhoods,
 )
+from betacover.cli import run_cli
+from betacover.generate import GenConfig, exhaustive_spaces, gen_space, grid_intervals, object_names
 from betacover.intervals import join, leq_bool, meet
+from betacover.neighborhoods import fuzzy_matrix
+from betacover.serialize import dumps, set_to_doc, space_to_doc
 from betacover.oracle import (
     oracle_complementary_crisp_neighborhood,
     oracle_complementary_fuzzy_neighborhood,
@@ -20,7 +32,7 @@ from betacover.oracle import (
     oracle_fuzzy_tables,
 )
 
-from conftest import fuzzy, iv, mixed_spaces
+from conftest import fuzzy, hostile_interval, iv, mixed_spaces
 
 
 class TestDerivedSpace:
@@ -189,3 +201,118 @@ class TestIntersectionLattice:
                     ns.fuzzy_neighborhood(a).intersect(ns.fuzzy_neighborhood(b)), beta
                 )
                 assert lhs == rhs
+
+
+def hostile_space(objects: int, parameters: int, seed: str) -> SoftSpace:
+    """A space with one distinct odd 200-bit denominator per grade."""
+    rng = random.Random(seed)
+    u = Universe(tuple(f"x{i}" for i in range(objects)))
+    table = {f"e{j}": {o: hostile_interval(rng) for o in u} for j in range(parameters)}
+    return build_space(SoftMapping.from_dict(u, table), iv("[1/4,1/2]"), "repair:e0")
+
+
+def assert_cuts_match_the_definition(space: SoftSpace):
+    """The bitmasks from the per-parameter cuts against crisp_of and the oracle."""
+    ns, u, beta = NeighborhoodSystem(space), space.universe, space.beta
+    n = fuzzy_matrix(space.mapping, beta)
+    crisp, co = oracle_crisp_tables(space)
+    sets = [CrispSubset.from_mask(u, mask) for mask in ns.crisp_sets]
+    co_sets = [CrispSubset.from_mask(u, mask) for mask in ns.complementary_crisp_sets]
+    assert sets == [crisp_of(IVFuzzySet(u, row), beta) for row in n] == [crisp[x] for x in u]
+    assert co_sets == [crisp_of(IVFuzzySet(u, col), beta) for col in zip(*n)] == [co[x] for x in u]
+    assert ns.empty_index_objects == {
+        x for x in u if not any(leq_bool(beta, fs.grade(x)) for fs in space.mapping.assignment)
+    }
+
+
+class TestCutIdentity:
+    """A beta-cut of a meet is the intersection of the cuts.
+
+    The crisp bitmasks are built from one cut per parameter, never from the
+    fuzzy rows; these check them against the cuts of the rows and columns
+    and against the definition-literal oracle.
+    """
+
+    def test_on_every_small_space(self):
+        count = 0
+        for space in exhaustive_spaces(2, 2, 2):
+            assert_cuts_match_the_definition(space)
+            count += 1
+        assert count == 4846
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_on_random_spaces(self, seed):
+        size = (1 + seed % 7, 1 + seed % 5)
+        assert_cuts_match_the_definition(
+            gen_space(GenConfig(*size, grid_denominator=(4, 10, 20)[seed % 3], seed=seed))
+        )
+
+    def test_on_hostile_denominators(self):
+        assert_cuts_match_the_definition(hostile_space(12, 4, "cut-identity"))
+
+    def test_on_a_beta_the_table_does_not_number(self):
+        # Thirds on grid-20 spaces: beta is placed among the mapping's codes,
+        # never added to them.
+        thirds = grid_intervals(3)
+        off_table = 0
+        for seed in range(12):
+            mapping = gen_space(GenConfig(6, 5, grid_denominator=20, seed=seed)).mapping
+            for beta in thirds:
+                try:
+                    space = SoftSpace(mapping, beta)
+                except NotACoveringError:
+                    continue
+                off_table += not {beta.lo, beta.hi} <= set(mapping.codes.points)
+                assert_cuts_match_the_definition(space)
+                fuzzy_tables = oracle_fuzzy_tables(space)
+                expected = tuple(fuzzy_tables[0][x].grades for x in space.universe)
+                assert fuzzy_matrix(mapping, beta) == expected == NeighborhoodSystem(space).matrix
+        assert off_table >= 20
+
+
+class TestFuzzyRowsOnDemand:
+    """A crisp request builds no fuzzy rows; a fuzzy one builds them once."""
+
+    @pytest.fixture
+    def row_builds(self, monkeypatch):
+        calls = []
+        real = neighborhoods._code_rows
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(neighborhoods, "_code_rows", counted)
+        return calls
+
+    def test_library_requests(self, derived_space, xyz, row_builds):
+        crisp_target = CrispSubset.of(xyz, ["x", "z"])
+        for kind in Kind:
+            approximate(derived_space, kind, crisp_target)
+        assert len(row_builds) == 0
+        ns = NeighborhoodSystem(derived_space)
+        for kind in Kind:
+            approximate(derived_space, kind, crisp_target, ns)
+            ns.crisp_neighborhood("x"), ns.complementary_crisp_neighborhood("y")
+        assert len(row_builds) == 0
+        fuzzy_target = fuzzy(xyz, x="[0.5,0.5]", y="[0.2,0.3]", z="[0.6,0.8]")
+        for kind in Kind:
+            approximate(derived_space, kind, fuzzy_target, ns)
+            ns.kernel(kind), ns.kernel_codes(kind)
+        ns.matrix, ns.fuzzy_neighborhood("x"), ns.complementary_fuzzy_neighborhood("z")
+        assert len(row_builds) == 1
+        approximate(derived_space, 3, fuzzy_target)
+        assert len(row_builds) == 2
+
+    @pytest.mark.parametrize("kind", ["1", "3", "4"])
+    def test_cli_requests(self, tmp_path, row_builds, kind):
+        space = tmp_path / "space.json"
+        space.write_text(dumps(space_to_doc(gen_space(GenConfig(8, 4, 20, seed=5)))))
+        crisp_set, fuzzy_set = tmp_path / "crisp.json", tmp_path / "fuzzy.json"
+        crisp_set.write_text('{"mode":"crisp","members":["x1","x4","x5"]}')
+        fuzzy_set.write_text(dumps(set_to_doc(IVFuzzySet.top(Universe(tuple(object_names(8)))))))
+        argv = ["approximate", str(space), "--kind", kind, "--mode"]
+        assert run_cli([*argv, "crisp", "--set", str(crisp_set)]) == 0
+        assert len(row_builds) == 0
+        assert run_cli([*argv, "fuzzy", "--set", str(fuzzy_set)]) == 0
+        assert len(row_builds) == 1

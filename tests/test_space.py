@@ -1,6 +1,9 @@
+import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from betacover import (
     IVFuzzySet,
@@ -13,10 +16,10 @@ from betacover import (
     is_full_covering,
     validate_beta_covering,
 )
-from betacover.intervals import join, leq_bool
+from betacover.intervals import family_join, join, leq_bool
 from betacover.space import parse_policy
 
-from conftest import iv
+from conftest import hostile_interval, iv, mixed_spaces
 
 
 U = Universe(("x", "y", "z"))
@@ -62,6 +65,34 @@ class TestSoftMapping:
         assert m.joins == (iv("[0.6,0.9]"), iv("[0.5,0.6]"), iv("[0.5,0.6]"))
         with pytest.raises(FrozenInstanceError):
             m.joins = ()
+
+    def test_the_code_table_numbers_every_grade_and_is_read_only(self):
+        m = mapping(GAP)
+        for fs, (lows, highs) in zip(m.assignment, m.set_codes):
+            assert m.codes.decode(lows, highs) == fs.grades
+        for name in ("codes", "set_codes"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, None)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(mixed_spaces())
+    def test_joins_equal_the_family_join_fold(self, space):
+        m = space.mapping
+        assert m.joins == tuple(map(family_join, zip(*(fs.grades for fs in m.assignment))))
+
+    def test_one_parameter_joins_are_its_grades(self):
+        # A lone set is passed to max twice; its join is itself.
+        m = mapping({"e1": GOOD["e1"]})
+        assert m.joins == m.assignment[0].grades
+
+    def test_joins_with_200_bit_denominators(self):
+        rng = random.Random("joins-200-bit")
+        for params in (1, 2, 5):
+            table = {f"e{j}": {o: hostile_interval(rng) for o in U} for j in range(params)}
+            m = SoftMapping.from_dict(U, table)
+            expected = tuple(map(family_join, zip(*(fs.grades for fs in m.assignment))))
+            assert m.joins == expected
+            assert all(type(x) is Fraction for v in m.joins for x in (v.lo, v.hi))
 
     def test_mixed_universes_rejected(self):
         other = IVFuzzySet.top(Universe(("a",)))
