@@ -6,14 +6,15 @@ simply aren't comparable, and everything downstream (neighborhoods,
 approximations, the audit) has to cope with that honestly.
 """
 
-from betacover import IntervalValue, Relation, complement, join, meet, relation
+from betacover import IntervalValue, complement, join, leq_bool, meet
 
 a = IntervalValue.parse("[0.2,0.8]")
 b = IntervalValue.parse("[0.4,0.5]")
 
 print(f"a = {a}, b = {b}")
-print(f"relation(a, b) = {relation(a, b).value}")
-assert relation(a, b) is Relation.INCOMPARABLE
+# Neither order holds, so the pair is incomparable: ask leq_bool both ways.
+print(f"a <= b: {leq_bool(a, b)}, b <= a: {leq_bool(b, a)}")
+assert not leq_bool(a, b) and not leq_bool(b, a)
 
 # Meet and join are componentwise min/max; note that the meet of two
 # incomparable intervals is a third interval equal to neither.

@@ -35,7 +35,7 @@ print("objects with an empty index set:", sorted(ns.empty_index_objects))
 for p in space.parameters:
     print(f"F({p})(z) = {space.mapping.set_for(p).grade('z')}")
 # ...but their join does, which is why the covering is valid:
-print("join at z =", space.mapping.join_at("z"))
+print("join at z =", space.mapping.joins[u.index("z")])
 
 # The same gap shows up as a strict inclusion at the crisp level: the
 # union of two crisp neighborhoods can be strictly smaller than the

@@ -18,7 +18,6 @@ from .approximations import (
     crisp_upper,
     fuzzy_lower,
     fuzzy_upper,
-    is_definable,
 )
 from .audit import (
     AuditReport,
@@ -50,14 +49,12 @@ from .intervals import (
     BOTTOM,
     TOP,
     IntervalValue,
-    Relation,
     complement,
     family_join,
     family_meet,
     join,
     leq_bool,
     meet,
-    relation,
 )
 from .neighborhoods import NeighborhoodSystem, crisp_of
 from .serialize import (
@@ -72,7 +69,6 @@ from .space import (
     SoftMapping,
     SoftSpace,
     build_space,
-    is_full_covering,
     validate_beta_covering,
 )
 
@@ -96,7 +92,6 @@ __all__ = [
     "NeighborhoodSystem",
     "NotACoveringError",
     "REGISTRY",
-    "Relation",
     "SoftMapping",
     "SoftSpace",
     "SpaceSyntaxError",
@@ -121,14 +116,11 @@ __all__ = [
     "fuzzy_upper",
     "gen_space",
     "grid_intervals",
-    "is_definable",
-    "is_full_covering",
     "join",
     "leq_bool",
     "meet",
     "parse_set",
     "parse_space",
-    "relation",
     "replay",
     "run_audit",
     "sample_inputs",

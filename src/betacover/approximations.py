@@ -201,8 +201,3 @@ def approximate(
         upper = crisp_upper(space, kind, target, ns)
         mode = "crisp"
     return ApproximationPair(lower, upper, kind, mode, definable=lower == upper)
-
-
-def is_definable(space: SoftSpace, kind: Union[int, Kind], target: Target) -> bool:
-    """True iff the lower and upper approximations coincide exactly."""
-    return approximate(space, kind, target).definable

@@ -900,14 +900,17 @@ def run_audit(
 
     Deterministic for a fixed (config, trials): trial seeds derive from
     the config seed and the trial index.  The first failure per theorem
-    is shrunk and serialized for replay.
+    is shrunk and serialized for replay.  A repeated id is checked once,
+    and an empty selection is a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if theorems is None:
         ids = all_theorem_ids()
     else:
-        ids = list(theorems)
+        ids = list(dict.fromkeys(theorems))  # in order, each id once
+        if not ids:
+            raise ValueError("no theorem selected: a law checked on nothing would pass vacuously")
         for t in ids:
             if t not in REGISTRY:
                 raise UnknownTheoremError(f"unknown theorem id {t!r}")

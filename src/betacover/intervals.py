@@ -3,15 +3,16 @@
 Membership grades are closed subintervals of the unit interval with
 rational endpoints, ordered componentwise (the product order):
 ``[a,b] <= [c,d]`` iff ``a <= c`` and ``b <= d``.  The order is partial,
-so some pairs of intervals are incomparable; callers that care about the
-exact relation should use :func:`relation` rather than :func:`leq_bool`.
+so some pairs of intervals are incomparable: ``not leq_bool(a, b)`` does
+not mean ``leq_bool(b, a)``, and a caller that needs the exact relation
+asks :func:`leq_bool` both ways.
 
 All arithmetic is exact (``fractions.Fraction`` endpoints), so every
 lattice identity checked elsewhere in the package is an exact equality
 with zero tolerance.
 
 An interval is validated once, where it enters the program: parsing,
-``of``, ``point`` and direct construction check ``0 <= lo <= hi <= 1``.
+``of`` and direct construction check ``0 <= lo <= hi <= 1``.
 The meet, join or complement of valid intervals is valid, so the lattice
 operations build their results unchecked.  Every endpoint-order decision
 (the meet, the join, the order and that check) goes through one compare,
@@ -33,7 +34,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
 from math import lcm
@@ -53,15 +53,6 @@ MAX_EXPONENT = 1000
 MAX_DIGITS = 4300
 
 _INTERVAL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
-
-
-class Relation(Enum):
-    """Outcome of comparing two interval values under the product order."""
-
-    EQUAL = "equal"
-    LESS_OR_EQUAL = "less_or_equal"
-    GREATER_OR_EQUAL = "greater_or_equal"
-    INCOMPARABLE = "incomparable"
 
 
 def parse_endpoint(text: str) -> Fraction:
@@ -151,12 +142,6 @@ class IntervalValue:
         return cls(_coerce(lo), _coerce(hi))
 
     @classmethod
-    def point(cls, value: EndpointLike) -> "IntervalValue":
-        """The degenerate interval [v,v]."""
-        v = _coerce(value)
-        return cls(v, v)
-
-    @classmethod
     def parse(cls, text: str, endpoints: Optional[Dict[str, Fraction]] = None) -> "IntervalValue":
         """Parse the canonical text form "[lo,hi]".
 
@@ -175,10 +160,6 @@ class IntervalValue:
             if endpoint not in endpoints:
                 endpoints[endpoint] = parse_endpoint(endpoint)
         return cls(endpoints[lo], endpoints[hi])
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
 
     def text(self) -> str:
         return f"[{format_endpoint(self.lo)},{format_endpoint(self.hi)}]"
@@ -264,23 +245,6 @@ def complement(a: IntervalValue) -> IntervalValue:
 def leq_bool(a: IntervalValue, b: IntervalValue) -> bool:
     """True iff a <= b in the product order."""
     return _le(a.lo, b.lo) and _le(a.hi, b.hi)
-
-
-def relation(a: IntervalValue, b: IntervalValue) -> Relation:
-    """Exact four-way product-order relation between a and b.
-
-    GREATER_OR_EQUAL is reported only when b <= a holds and a <= b does
-    not, so callers never conflate "not <=" with ">=".
-    """
-    forward = leq_bool(a, b)
-    backward = leq_bool(b, a)
-    if forward and backward:
-        return Relation.EQUAL
-    if forward:
-        return Relation.LESS_OR_EQUAL
-    if backward:
-        return Relation.GREATER_OR_EQUAL
-    return Relation.INCOMPARABLE
 
 
 def family_meet(family: Iterable[IntervalValue]) -> IntervalValue:

@@ -169,23 +169,6 @@ def oracle_crisp_tables(space: SoftSpace):
     return oracle_fuzzy_tables(space).crisp()
 
 
-def oracle_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    """Literal fold: intersect every F(e) with beta <= F(e)(obj), or I^U when none."""
-    return oracle_fuzzy_tables(space)[0][obj]
-
-
-def oracle_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return oracle_crisp_tables(space)[0][obj]
-
-
-def oracle_complementary_fuzzy_neighborhood(space: SoftSpace, obj: str) -> IVFuzzySet:
-    return oracle_fuzzy_tables(space)[1][obj]
-
-
-def oracle_complementary_crisp_neighborhood(space: SoftSpace, obj: str) -> CrispSubset:
-    return oracle_crisp_tables(space)[1][obj]
-
-
 # -- the lattice on rows of scaled ints -------------------------------------
 
 
@@ -324,36 +307,32 @@ def scalar_fuzzy_neighborhood(
     return {y: min(table[y] for table in selected) for y in objects}
 
 
-def scalar_neighborhood_tables(grades, beta):
-    objects = list(next(iter(grades.values())).keys())
-    n = {x: scalar_fuzzy_neighborhood(grades, beta, x) for x in objects}
-    m = {x: {y: n[y][x] for y in objects} for x in objects}
-    crisp_n = {x: {y for y in objects if n[x][y] >= beta} for x in objects}
-    crisp_m = {x: {y for y in objects if m[x][y] >= beta} for x in objects}
-    return n, m, crisp_n, crisp_m
+def _scalar_crisp_neighborhoods(grades, beta):
+    """Object -> the beta-cut of its scalar fuzzy neighborhood."""
+    objects = next(iter(grades.values())).keys()
+    return {
+        x: {y for y, g in scalar_fuzzy_neighborhood(grades, beta, x).items() if g >= beta}
+        for x in objects
+    }
 
 
 def scalar_lower1(grades, beta, target: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    n, _, _, _ = scalar_neighborhood_tables(grades, beta)
-    objects = list(target.keys())
     return {
-        x: min(max(1 - n[x][y], target[y]) for y in objects) for x in objects
+        x: min(max(1 - g, target[y]) for y, g in scalar_fuzzy_neighborhood(grades, beta, x).items())
+        for x in target
     }
 
 
 def scalar_upper1(grades, beta, target: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    n, _, _, _ = scalar_neighborhood_tables(grades, beta)
-    objects = list(target.keys())
     return {
-        x: max(min(n[x][y], target[y]) for y in objects) for x in objects
+        x: max(min(g, target[y]) for y, g in scalar_fuzzy_neighborhood(grades, beta, x).items())
+        for x in target
     }
 
 
 def scalar_crisp_lower1(grades, beta, members: set) -> set:
-    _, _, crisp_n, _ = scalar_neighborhood_tables(grades, beta)
-    return {x for x, nbhd in crisp_n.items() if nbhd <= members}
+    return {x for x, nbhd in _scalar_crisp_neighborhoods(grades, beta).items() if nbhd <= members}
 
 
 def scalar_crisp_upper1(grades, beta, members: set) -> set:
-    _, _, crisp_n, _ = scalar_neighborhood_tables(grades, beta)
-    return {x for x, nbhd in crisp_n.items() if nbhd & members}
+    return {x for x, nbhd in _scalar_crisp_neighborhoods(grades, beta).items() if nbhd & members}

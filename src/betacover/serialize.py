@@ -172,7 +172,7 @@ def parse_space_csv(text: str) -> SoftMapping:
     if not rows:
         raise SpaceSyntaxError("empty CSV document")
     header = rows[0]
-    if not header or header[0] != "object":
+    if header[0] != "object":
         raise SpaceSyntaxError("CSV header must start with 'object'", "row 1")
     parameters = header[1:]
     if not parameters:
@@ -184,7 +184,7 @@ def parse_space_csv(text: str) -> SoftMapping:
     cells = {p: {} for p in parameters}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise IncompleteTableError("*", row[0] if row else f"row {lineno}")
+            raise IncompleteTableError("*", row[0])
         obj = row[0]
         objects.append(obj)
         for p, cell in zip(parameters, row[1:]):

@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Tuple
 
 from .errors import NotACoveringError, UnknownParameterError
 from .fuzzysets import IVFuzzySet, Universe
-from .intervals import TOP, Codes, IntervalValue, join, leq_bool
+from .intervals import Codes, IntervalValue, join, leq_bool
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class SoftMapping:
         except KeyError:
             raise UnknownParameterError(f"parameter {parameter!r} not in mapping") from None
 
-    def join_at(self, obj: str) -> IntervalValue:
-        """Pointwise join over all parameters at one object."""
-        return self.joins[self.universe.index(obj)]
-
 
 @dataclass(frozen=True)
 class CoveringReport:
@@ -99,11 +95,6 @@ def validate_beta_covering(mapping: SoftMapping, beta: IntervalValue) -> Coverin
     pairs = zip(mapping.universe.objects, mapping.joins)
     failures = tuple((obj, attained) for obj, attained in pairs if not leq_bool(beta, attained))
     return CoveringReport(ok=not failures, failures=failures)
-
-
-def is_full_covering(mapping: SoftMapping) -> bool:
-    """True iff the join over parameters equals [1,1] at every object."""
-    return validate_beta_covering(mapping, TOP).ok
 
 
 @dataclass(frozen=True)

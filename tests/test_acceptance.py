@@ -175,11 +175,11 @@ def test_criterion_5_degenerate_interval_reduction():
         }
         beta_scalar = Fraction(rng.randrange(d + 1), d)
         table = {
-            p: {o: IntervalValue.point(v) for o, v in row.items()}
+            p: {o: IntervalValue.of(v, v) for o, v in row.items()}
             for p, row in scalars.items()
         }
         mapping = SoftMapping.from_dict(universe, table)
-        beta = IntervalValue.point(beta_scalar)
+        beta = IntervalValue.of(beta_scalar, beta_scalar)
         try:
             space = build_space(mapping, beta, "strict")
         except Exception:
@@ -189,18 +189,18 @@ def test_criterion_5_degenerate_interval_reduction():
             expected = scalar_fuzzy_neighborhood(scalars, beta_scalar, o)
             got = ns.fuzzy_neighborhood(o)
             assert all(
-                got.grade(y) == IntervalValue.point(expected[y]) for y in universe
+                got.grade(y) == IntervalValue.of(expected[y], expected[y]) for y in universe
             ), "fuzzy neighborhood does not reduce to the scalar case"
         target_scalar = {o: Fraction(rng.randrange(d + 1), d) for o in universe.objects}
         target = IVFuzzySet.from_dict(
-            universe, {o: IntervalValue.point(v) for o, v in target_scalar.items()}
+            universe, {o: IntervalValue.of(v, v) for o, v in target_scalar.items()}
         )
         low = fuzzy_lower(space, 1, target, ns)
         up = fuzzy_upper(space, 1, target, ns)
         slow = scalar_lower1(scalars, beta_scalar, target_scalar)
         sup = scalar_upper1(scalars, beta_scalar, target_scalar)
-        assert all(low.grade(o) == IntervalValue.point(slow[o]) for o in universe)
-        assert all(up.grade(o) == IntervalValue.point(sup[o]) for o in universe)
+        assert all(low.grade(o) == IntervalValue.of(slow[o], slow[o]) for o in universe)
+        assert all(up.grade(o) == IntervalValue.of(sup[o], sup[o]) for o in universe)
         members = {o for o in universe.objects if rng.random() < 0.5}
         from betacover import CrispSubset
 

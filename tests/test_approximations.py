@@ -23,7 +23,6 @@ from betacover import (
     fuzzy_lower,
     fuzzy_upper,
     gen_space,
-    is_definable,
 )
 from betacover.generate import sample_crisp_subset, sample_fuzzy_set
 from betacover.oracle import (
@@ -112,7 +111,7 @@ class TestFrozenCrispValues:
         target = CrispSubset.of(xyz, members)
         assert crisp_lower(derived_space, kind, target) == target
         assert crisp_upper(derived_space, kind, target) == target
-        assert is_definable(derived_space, kind, target)
+        assert approximate(derived_space, kind, target).definable
 
 
 class TestKind4Precedence:

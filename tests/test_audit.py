@@ -200,6 +200,16 @@ class TestRunAudit:
         with pytest.raises(ValueError):
             run_audit(self.CFG, trials=0)
 
+    def test_a_repeated_id_is_checked_once(self):
+        once = run_audit(GenConfig(seed=1), theorems=["N-REFL"], trials=5)
+        twice = run_audit(GenConfig(seed=1), theorems=["N-REFL", "N-REFL"], trials=5)
+        assert twice.to_doc()["theorems"] == once.to_doc()["theorems"]
+        assert twice.stats["N-REFL"].trials == 5
+
+    def test_an_empty_selection_is_refused(self):
+        with pytest.raises(ValueError, match="no theorem selected"):
+            run_audit(self.CFG, theorems=[], trials=3)
+
 
 class TestTrialCosts:
     """What a trial must not spend: Fraction hashes, and detail text for a passing check."""
@@ -251,7 +261,7 @@ class TestTrialCosts:
         run_audit(cfg, trials=20)
         assert counts["hash"] == 0
         assert len(in_passing) > 1000 and sum(in_passing) == 0
-        hash(IntervalValue.point(0))
+        hash(IntervalValue.of(0, 0))
         assert counts["hash"] == 1  # the wrapper is the hash Python calls
 
     def test_memo_calls_and_hits_are_pinned(self, monkeypatch):

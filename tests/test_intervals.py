@@ -12,14 +12,12 @@ from betacover import (
     TOP,
     EmptyFamilyError,
     IntervalValue,
-    Relation,
     complement,
     family_join,
     family_meet,
     join,
     leq_bool,
     meet,
-    relation,
 )
 from betacover.intervals import (
     MAX_DIGITS,
@@ -42,16 +40,17 @@ class TestConstruction:
         a = IntervalValue.of("0.3", Fraction(3, 5))
         assert a.lo == Fraction(3, 10) and a.hi == Fraction(3, 5)
 
-    def test_point_is_degenerate(self):
-        assert IntervalValue.point("0.4").is_degenerate
+    def test_equal_endpoints_make_a_degenerate_interval(self):
+        v = IntervalValue.of("0.4", "0.4")
+        assert v.lo == v.hi
 
     def test_bools_are_not_endpoints(self):
-        for build in (lambda: IntervalValue.of(False, True), lambda: IntervalValue.point(True),
+        for build in (lambda: IntervalValue.of(False, True), lambda: IntervalValue.of(True, True),
                       lambda: IntervalValue.of(0, True)):
             with pytest.raises(TypeError, match="bool"):
                 build()
         assert IntervalValue.of(0, 1) == IntervalValue.of(Fraction(0), "1") == iv("[0,1]")
-        assert IntervalValue.point(1) == TOP
+        assert IntervalValue.of(1, 1) == TOP
 
     @pytest.mark.parametrize("lo,hi", [("0.7", "0.3"), ("-0.1", "0.5"), ("0", "1.5")])
     def test_invalid_endpoints_rejected(self, lo, hi):
@@ -157,16 +156,19 @@ class TestOrder:
     def test_incomparable_pair(self):
         a, b = iv("[0.2,0.8]"), iv("[0.4,0.5]")
         assert not leq_bool(a, b) and not leq_bool(b, a)
-        assert relation(a, b) is Relation.INCOMPARABLE
+        assert (leq_bool(a, b), leq_bool(b, a)) == (False, False)
 
     def test_relation_cases(self):
-        assert relation(iv("[0.3,0.4]"), iv("[0.3,0.4]")) is Relation.EQUAL
-        assert relation(iv("[0.1,0.4]"), iv("[0.3,0.4]")) is Relation.LESS_OR_EQUAL
-        assert relation(iv("[0.3,0.5]"), iv("[0.3,0.4]")) is Relation.GREATER_OR_EQUAL
+        def both_ways(a, b):
+            return leq_bool(iv(a), iv(b)), leq_bool(iv(b), iv(a))
+
+        assert both_ways("[0.3,0.4]", "[0.3,0.4]") == (True, True)
+        assert both_ways("[0.1,0.4]", "[0.3,0.4]") == (True, False)
+        assert both_ways("[0.3,0.5]", "[0.3,0.4]") == (False, True)
 
     @given(intervals(), intervals())
-    def test_leq_matches_relation(self, a, b):
-        assert leq_bool(a, b) == (relation(a, b) in (Relation.EQUAL, Relation.LESS_OR_EQUAL))
+    def test_leq_matches_endpoint_order(self, a, b):
+        assert leq_bool(a, b) == (a.lo <= b.lo and a.hi <= b.hi)
 
     @given(intervals(), intervals(), intervals())
     def test_order_is_transitive(self, a, b, c):
@@ -284,13 +286,7 @@ class TestUncheckedResults:
         forward = a.lo <= b.lo and a.hi <= b.hi
         backward = b.lo <= a.lo and b.hi <= a.hi
         assert leq_bool(a, b) == forward
-        expected = {
-            (True, True): Relation.EQUAL,
-            (True, False): Relation.LESS_OR_EQUAL,
-            (False, True): Relation.GREATER_OR_EQUAL,
-            (False, False): Relation.INCOMPARABLE,
-        }[forward, backward]
-        assert relation(a, b) is expected
+        assert leq_bool(b, a) == backward
 
     def test_order_across_huge_denominators(self):
         tiny, small = Fraction(1, 5**30), Fraction(1, 2**64)  # 1e-21 < 5e-20

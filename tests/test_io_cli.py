@@ -658,6 +658,18 @@ class TestCli:
         assert doc["ok"] is True
         assert doc["theorems"]["N-REFL"]["failures"] == 0
 
+    def test_audit_counts_a_repeated_id_once(self, capsys):
+        assert run_cli(["audit", "--trials", "3", "--theorems", "N-REFL,N-REFL"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["theorems"]) == ["N-REFL"]
+        assert doc["theorems"]["N-REFL"]["trials"] == doc["trials"] == 3
+
+    def test_audit_with_no_theorem_selected_exits_2(self, capsys):
+        assert run_cli(["audit", "--trials", "3", "--theorems", ",,"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no theorem selected")
+
     def test_audit_law_failure_exit_one(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = run_cli(

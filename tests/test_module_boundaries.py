@@ -30,9 +30,14 @@ The oracle is the independent check on the fast path, so it takes only
 ``Kind`` from ``approximations``, nothing from ``neighborhoods``, and of
 ``intervals`` only ``IntervalValue`` and the ``scaled_endpoints`` helper.  The operators in ``approximations`` work on
 endpoint codes, so they import none of the per-entry interval operations.
+
+Every public module-level function and class has a user outside the tests:
+its own module, another package module, ``perfbench``, a demo,
+``pyproject.toml`` or README's API notes name it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -541,4 +546,107 @@ def test_the_oracle_interval_guard_sees_every_form(tmp_path):
         "import betacover.intervals",
         "from betacover.intervals import complement",
         "from betacover.intervals import family_meet",
+    ]
+
+
+# Every public module-level def or class has a user outside the tests: a
+# line of its own module outside its definition, another package module,
+# perfbench, a demo, pyproject.toml or README's API notes.  ``__init__``
+# only re-exports, so it is no user; the oracle is the tests' reference
+# implementation, so its names are exempt.
+REPO = Path(__file__).resolve().parent.parent
+SURFACE_EXEMPT = {"__init__.py", "oracle.py"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def identifiers(tree, skip=range(0)) -> set:
+    """The names, attribute names and imported names the tree reads outside the lines ``skip``."""
+    found = set()
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return found
+
+
+def unused_public_names(modules, outside) -> list:
+    """(module, name) for each public def or class in ``modules`` that nothing uses.
+
+    ``outside`` are the other files a use may sit in: Python files are read
+    with ``ast``, any other file for its words.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
+    used = set()
+    for path in outside:
+        text = path.read_text()
+        if path.suffix == ".py":
+            used |= identifiers(ast.parse(text))
+        else:
+            used.update(re.findall(r"\w+", text))
+    unused = []
+    for path, tree in trees.items():
+        if path.name in SURFACE_EXEMPT:
+            continue
+        others = [other for p, other in trees.items() if p != path and p.name != "__init__.py"]
+        elsewhere = used.union(*map(identifiers, others))
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                own = identifiers(tree, range(node.lineno, node.end_lineno + 1))
+                if node.name not in elsewhere | own:
+                    unused.append((path.name, node.name))
+    return unused
+
+
+def surface_users() -> list:
+    return [
+        *sorted((REPO / "perfbench").rglob("*.py")),
+        *sorted((REPO / "demos").glob("*.py")),
+        REPO / "pyproject.toml",
+        REPO / "README.md",
+    ]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unused_public_names(MODULES, surface_users()) == []
+
+
+def test_the_surface_guard_sees_an_unused_name(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "def caller():\n"
+        "    return called_earlier()\n"
+        "def recursive():\n"
+        "    return recursive()\n"
+        "class Used:\n"
+        "    pass\n"
+        "def called_earlier():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "async def by_other():\n"
+        "    pass\n"
+        "def by_demo():\n"
+        "    pass\n"
+        "def by_readme():\n"
+        "    pass\n"
+        "def by_init():\n"
+        "    pass\n"
+        "x = caller()\n"
+    )
+    (tmp_path / "pkg" / "other.py").write_text("from .mod import Used\nvalue = mod.by_other\n")
+    (tmp_path / "pkg" / "__init__.py").write_text("from .mod import by_init\n")
+    (tmp_path / "demo.py").write_text("import pkg\npkg.by_demo()\n")
+    (tmp_path / "README.md").write_text("`by_readme(x)` is for library users.\n")
+    modules = sorted((tmp_path / "pkg").glob("*.py"))
+    assert unused_public_names(modules, [tmp_path / "demo.py", tmp_path / "README.md"]) == [
+        ("mod.py", "recursive"),
+        ("mod.py", "unused"),
+        ("mod.py", "by_init"),
     ]

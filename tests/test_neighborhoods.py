@@ -24,11 +24,7 @@ from betacover.intervals import join, leq_bool, meet
 from betacover.neighborhoods import fuzzy_matrix
 from betacover.serialize import dumps, set_to_doc, space_to_doc
 from betacover.oracle import (
-    oracle_complementary_crisp_neighborhood,
-    oracle_complementary_fuzzy_neighborhood,
-    oracle_crisp_neighborhood,
     oracle_crisp_tables,
-    oracle_fuzzy_neighborhood,
     oracle_fuzzy_tables,
 )
 
@@ -81,15 +77,12 @@ class TestDerivedSpace:
 
     def test_agrees_with_oracle(self, derived_space, xyz):
         ns = NeighborhoodSystem(derived_space)
+        fuzzy, crisp = oracle_fuzzy_tables(derived_space), oracle_crisp_tables(derived_space)
         for o in xyz:
-            assert ns.fuzzy_neighborhood(o) == oracle_fuzzy_neighborhood(derived_space, o)
-            assert ns.crisp_neighborhood(o) == oracle_crisp_neighborhood(derived_space, o)
-            assert ns.complementary_fuzzy_neighborhood(
-                o
-            ) == oracle_complementary_fuzzy_neighborhood(derived_space, o)
-            assert ns.complementary_crisp_neighborhood(
-                o
-            ) == oracle_complementary_crisp_neighborhood(derived_space, o)
+            assert ns.fuzzy_neighborhood(o) == fuzzy[0][o]
+            assert ns.crisp_neighborhood(o) == crisp[0][o]
+            assert ns.complementary_fuzzy_neighborhood(o) == fuzzy[1][o]
+            assert ns.complementary_crisp_neighborhood(o) == crisp[1][o]
 
     def test_reflexivity_and_diagonal(self, derived_space, xyz):
         ns = NeighborhoodSystem(derived_space)

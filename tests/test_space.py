@@ -13,10 +13,9 @@ from betacover import (
     Universe,
     UnknownParameterError,
     build_space,
-    is_full_covering,
     validate_beta_covering,
 )
-from betacover.intervals import family_join, join, leq_bool
+from betacover.intervals import TOP, family_join, join, leq_bool
 from betacover.space import parse_policy
 
 from conftest import hostile_interval, iv, mixed_spaces
@@ -58,7 +57,8 @@ class TestSoftMapping:
             mapping(GOOD).set_for("e9")
 
     def test_join_at(self):
-        assert mapping(GOOD).join_at("z") == iv("[0.7,0.8]")
+        m = mapping(GOOD)
+        assert m.joins[m.universe.index("z")] == iv("[0.7,0.8]")
 
     def test_joins_hold_every_object_and_are_read_only(self):
         m = mapping(GAP)
@@ -124,12 +124,12 @@ class TestCoveringValidation:
         assert validate_beta_covering(m, iv("[0,0]")).ok
 
     def test_is_full_covering(self):
-        assert not is_full_covering(mapping(GOOD))
+        assert not validate_beta_covering(mapping(GOOD), TOP).ok
         full = {
             "e1": {"x": "[1,1]", "y": "[0,0]", "z": "[1,1]"},
             "e2": {"x": "[0,1]", "y": "[1,1]", "z": "[0.5,1]"},
         }
-        assert is_full_covering(mapping(full))
+        assert validate_beta_covering(mapping(full), TOP).ok
 
 
 class TestSoftSpace:
