@@ -1,18 +1,19 @@
 """Definition-literal slow path and the scalar degenerate-case oracle.
 
 The interval operators are computed here from their defining formulas, on
-exact ints.  Once per space, beta and every parameter-set endpoint are put
-over their least common denominator D (``scaled_endpoints``), so an endpoint
-p/q is the int p*D/q: endpoints order as their ints do, the complement
-[1-hi, 1-lo] is [D-hi, D-lo], and meet and join are int ``min`` and ``max``.
-The neighborhoods are recomputed from the raw parameter sets by the literal
-fold, the meet of every F(e) with beta <= F(e)(x), or [1,1] everywhere when
-no set qualifies.  Each target is scaled once per tables (the tables keep
-the last one), and the space's rows are rescaled only when a target
-denominator does not divide D.  Each lower operator is evaluated from its
-own formula, not as the dual of an upper one, and results come back as
-checked ``IntervalValue`` instances, each distinct result interval built
-and checked once per scale.
+exact ints.  ``_Scale.of`` puts beta, every parameter-set endpoint and a
+target's endpoints over their least common denominator D
+(``scaled_endpoints``), so an endpoint p/q is the int p*D/q: endpoints order
+as their ints do, the complement [1-hi, 1-lo] is [D-hi, D-lo], and meet and
+join are int ``min`` and ``max``.  It then recomputes the neighborhoods from
+the raw parameter sets by the literal fold, the meet of every F(e) with
+beta <= F(e)(x), or [1,1] everywhere when no set qualifies.  The tables fold
+once per space and keep the last target's scale: a target whose
+denominators divide D shares their rows, and any other is folded again with
+the space.  Each lower operator is evaluated from its own formula, not as
+the dual of an upper one, and results come back as checked
+``IntervalValue`` instances, each distinct result interval built and
+checked once per scale.
 
 None of this uses the interval algebra (``meet``, ``join``, ``complement``,
 ``leq_bool``) or the endpoint codes that the matrix-based fast path in
@@ -48,67 +49,32 @@ def _transpose(n: List[Row]) -> List[Row]:
 
 
 class _Scale(NamedTuple):
-    """A space's neighborhood rows as ints over the denominator ``d``.
+    """A space's neighborhood rows, and a target's row, as ints over the denominator ``d``.
 
-    ``n[i]`` is the i-th object's fuzzy neighborhood and ``m[i]`` its
-    complementary one.  ``points`` maps the rows' endpoints, as ints over
-    the space's own denominator ``d // factor``, to their ``Fraction``.
-    ``results`` maps each ``(lo, hi)`` int pair an operator has returned to
-    the checked ``IntervalValue`` [lo/d, hi/d] built from it.
+    ``n[i]`` is the i-th object's fuzzy neighborhood, ``m[i]`` its
+    complementary one and ``x`` the target's row (empty when there is no
+    target).  ``points`` maps ints over ``d`` to the ``Fraction`` they stand
+    for, and ``results`` maps each ``(lo, hi)`` int pair an operator has
+    returned to the checked ``IntervalValue`` [lo/d, hi/d] built from it.
     """
 
     d: int
-    factor: int
     beta: Tuple[int, int]
     n: List[Row]
     m: List[Row]
+    x: Row
     points: Dict[int, Fraction]
     results: Dict[Tuple[int, int], IntervalValue]
 
-    def times(self, factor: int) -> "_Scale":
-        """The same rows over the denominator ``d * factor``."""
-        n = [([k * factor for k in lows], [k * factor for k in highs]) for lows, highs in self.n]
-        b_lo, b_hi = self.beta
-        return _Scale(
-            self.d * factor, self.factor * factor, (b_lo * factor, b_hi * factor), n,
-            _transpose(n), self.points, {},
-        )
-
-    def value(self, k: int, extra: Dict[int, Fraction]) -> Fraction:
-        """The endpoint the int ``k`` stands for: the target's (in ``extra``), the space's, or k/d.
-
-        An int over the space's own denominator that ``points`` lacks (the
-        complement of an endpoint, say) is added to it.
-        """
-        x = extra.get(k)
-        if x is not None:
-            return x
-        base, rest = divmod(k, self.factor)
-        if rest:
-            return Fraction(k, self.d)
-        x = self.points.get(base)
-        if x is None:
-            x = self.points[base] = Fraction(k, self.d)
-        return x
-
-
-class FuzzyTables(tuple):
-    """``(n, m)``: each object's fuzzy neighborhood and its complementary one, by name.
-
-    Both are dicts from object to ``IVFuzzySet``.  The tables also carry
-    their space and their rows as scaled ints, which the operators compute
-    on and ``crisp`` cuts at beta; pass them through ``tables=`` to evaluate
-    many operators on one space.
-    """
-
-    def __new__(cls, space: SoftSpace):
-        u = space.universe
-        size = len(u)
+    @classmethod
+    def of(cls, space: SoftSpace, target: Sequence[IntervalValue] = ()) -> "_Scale":
+        """Beta, every grade and the target's grades over one denominator, and the literal fold."""
+        size, t = len(space.universe), len(target)
         d, lows, highs, points = scaled_endpoints(
-            chain((space.beta,), *(fs.grades for fs in space.mapping.assignment))
+            chain((space.beta,), target, *(fs.grades for fs in space.mapping.assignment))
         )
         (b_lo, *lows), (b_hi, *highs) = lows, highs
-        sets = [(lows[i : i + size], highs[i : i + size]) for i in range(0, len(lows), size)]
+        sets = [(lows[i : i + size], highs[i : i + size]) for i in range(t, len(lows), size)]
         n = []
         for x in range(size):
             selected = [s for s in sets if b_lo <= s[0][x] and b_hi <= s[1][x]]
@@ -117,14 +83,34 @@ class FuzzyTables(tuple):
             else:
                 n.append(([d] * size, [d] * size))
         points[d] = Fraction(1)  # the endpoint of a row that selects no set
-        grades = [[IntervalValue(points[a], points[b]) for a, b in zip(*row)] for row in n]
+        return cls(d, (b_lo, b_hi), n, _transpose(n), (lows[:t], highs[:t]), points, {})
+
+    def value(self, k: int) -> Fraction:
+        """The endpoint k/d, kept in ``points`` once built."""
+        x = self.points.get(k)
+        if x is None:
+            x = self.points[k] = Fraction(k, self.d)
+        return x
+
+
+class FuzzyTables(tuple):
+    """``(n, m)``: each object's fuzzy neighborhood and its complementary one, by name.
+
+    Both are dicts from object to ``IVFuzzySet``.  The tables also carry
+    their space and its ``_Scale``, which ``crisp`` cuts at beta; pass them
+    through ``tables=`` to evaluate many operators on one space.
+    """
+
+    def __new__(cls, space: SoftSpace):
+        u = space.universe
+        scale = _Scale.of(space)
+        points = scale.points
+        grades = [[IntervalValue(points[a], points[b]) for a, b in zip(*row)] for row in scale.n]
         self = super().__new__(cls, (
             {x: IVFuzzySet(u, grades[i]) for i, x in enumerate(u)},
             {x: IVFuzzySet(u, [row[i] for row in grades]) for i, x in enumerate(u)},
         ))
-        self.space = space
-        self.scale = _Scale(d, 1, (b_lo, b_hi), n, _transpose(n), points, {})
-        self._rescaled = self.scale
+        self.space, self.scale = space, scale
         self._target = self._scaled = None
         return self
 
@@ -140,22 +126,22 @@ class FuzzyTables(tuple):
 
         return tuple({x: cut(*row) for x, row in zip(u, rows)} for rows in (scale.n, scale.m))
 
-    def at(self, d: int) -> _Scale:
-        """The rows over ``d``, a multiple of the space's own denominator; the last one is kept."""
-        if self._rescaled.d != d:
-            factor = d // self.scale.d
-            self._rescaled = self.scale if factor == 1 else self.scale.times(factor)
-        return self._rescaled
+    def scaled(self, target: IVFuzzySet) -> _Scale:
+        """The rows with the target's row, over one denominator; the last target's is kept.
 
-    def scaled(self, target: IVFuzzySet):
-        """``scaled_endpoints`` of the target's grades over a multiple of D; the last one is kept.
-
-        The target is kept by reference and known again by identity: an
-        ``IVFuzzySet`` never changes.
+        A target whose denominators divide the tables' shares their rows;
+        any other is folded again with the space.  The target is kept by
+        reference and known again by identity: an ``IVFuzzySet`` never changes.
         """
         if target is not self._target:
-            d, lows, highs, points = scaled_endpoints(target.grades, self.scale.d)
-            self._target, self._scaled = target, (d, (lows, highs), points)
+            s = self.scale
+            d, lows, highs, points = scaled_endpoints(target.grades, s.d)
+            if d == s.d:
+                s.points.update(points)
+                scaled = _Scale(d, s.beta, s.n, s.m, (lows, highs), s.points, s.results)
+            else:
+                scaled = _Scale.of(self.space, target.grades)
+            self._target, self._scaled = target, scaled
         return self._scaled
 
 
@@ -186,19 +172,22 @@ def _join(a: Row, b: Row) -> Row:
     return list(map(max, a[0], b[0])), list(map(max, a[1], b[1]))
 
 
-def _scaled_target(space: SoftSpace, target: IVFuzzySet, tables):
-    """The space's rows and the target's, over one denominator, and the target's endpoints."""
+def _check_universe(space: SoftSpace, target) -> None:
     if target.universe != space.universe:
         raise UniverseMismatchError("target set is over a different universe")
+
+
+def _scaled_target(space: SoftSpace, target: IVFuzzySet, tables) -> _Scale:
+    """The space's rows and the target's, over one denominator."""
+    _check_universe(space, target)
     if tables is None:
-        tables = oracle_fuzzy_tables(space)
-    elif tables.space is not space and tables.space != space:
+        return _Scale.of(space, target.grades)
+    if tables.space is not space and tables.space != space:
         raise ValueError("oracle tables belong to a different space")
-    d, row, points = tables.scaled(target)
-    return tables.at(d), row, points
+    return tables.scaled(target)
 
 
-def _fuzzy_result(space: SoftSpace, scale: _Scale, grades, extra) -> IVFuzzySet:
+def _fuzzy_result(space: SoftSpace, scale: _Scale, grades) -> IVFuzzySet:
     """The fuzzy set of the result int pairs; each distinct pair is built and checked once."""
     results = scale.results
     values = []
@@ -206,7 +195,7 @@ def _fuzzy_result(space: SoftSpace, scale: _Scale, grades, extra) -> IVFuzzySet:
         value = results.get(pair)
         if value is None:
             lo, hi = pair
-            value = results[pair] = IntervalValue(scale.value(lo, extra), scale.value(hi, extra))
+            value = results[pair] = IntervalValue(scale.value(lo), scale.value(hi))
         values.append(value)
     return IVFuzzySet(space.universe, values)
 
@@ -214,7 +203,7 @@ def _fuzzy_result(space: SoftSpace, scale: _Scale, grades, extra) -> IVFuzzySet:
 def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
     """lower(X)(x) = meet over y of (the complement of the kind's neighborhoods at y) join X(y)."""
     kind = Kind.of(kind)
-    scale, x_row, extra = _scaled_target(space, target, tables)
+    scale = _scaled_target(space, target, tables)
     d = scale.d
     grades = []
     for n, m in zip(scale.n, scale.m):
@@ -226,15 +215,15 @@ def oracle_fuzzy_lower(space: SoftSpace, kind, target: IVFuzzySet, tables=None) 
             base = _join(_complement(n, d), _complement(m, d))
         else:
             base = _meet(_complement(n, d), _complement(m, d))
-        lows, highs = _join(base, x_row)
+        lows, highs = _join(base, scale.x)
         grades.append((min(lows), min(highs)))
-    return _fuzzy_result(space, scale, grades, extra)
+    return _fuzzy_result(space, scale, grades)
 
 
 def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) -> IVFuzzySet:
     """upper(X)(x) = join over y of (the kind's neighborhoods at y) meet X(y)."""
     kind = Kind.of(kind)
-    scale, x_row, extra = _scaled_target(space, target, tables)
+    scale = _scaled_target(space, target, tables)
     grades = []
     for n, m in zip(scale.n, scale.m):
         if kind is Kind.K1:
@@ -245,13 +234,14 @@ def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) 
             base = _meet(n, m)
         else:
             base = _join(n, m)
-        lows, highs = _meet(base, x_row)
+        lows, highs = _meet(base, scale.x)
         grades.append((max(lows), max(highs)))
-    return _fuzzy_result(space, scale, grades, extra)
+    return _fuzzy_result(space, scale, grades)
 
 
 def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
     kind = Kind.of(kind)
+    _check_universe(space, target)
     sn, sm = tables if tables is not None else oracle_crisp_tables(space)
     members = set()
     for x in space.universe:
@@ -272,6 +262,7 @@ def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None)
 
 def oracle_crisp_upper(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
     kind = Kind.of(kind)
+    _check_universe(space, target)
     sn, sm = tables if tables is not None else oracle_crisp_tables(space)
     members = set()
     for x in space.universe:

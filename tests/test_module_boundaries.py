@@ -557,20 +557,51 @@ def test_the_oracle_interval_guard_sees_every_form(tmp_path):
 REPO = Path(__file__).resolve().parent.parent
 SURFACE_EXEMPT = {"__init__.py", "oracle.py"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# A code span opens and closes with one run of backticks of the same length.
+CODE_SPAN = re.compile(r"(`+)(.+?)\1", re.S)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(function) -> set:
+    """The function's parameters and the names assigned or defined in its body, not in nested ones."""
+    a = function.args
+    found = {arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if arg}
+    nodes = list(ast.iter_child_nodes(function))
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.add(node.id)
+        elif isinstance(node, DEFINITIONS):
+            found.add(node.name)
+        if not isinstance(node, (*SCOPES, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return found
 
 
 def identifiers(tree, skip=range(0)) -> set:
-    """The names, attribute names and imported names the tree reads outside the lines ``skip``."""
+    """The names, attribute names and imported names the tree reads outside the lines ``skip``.
+
+    A ``Name`` in the body of a function that has it as a parameter or
+    assigns it is that function's own and reads no module-level name; its
+    defaults, annotations and decorators are read outside it.
+    """
     found = set()
-    for node in ast.walk(tree):
-        if getattr(node, "lineno", None) in skip:
-            continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+    todo = [(tree, frozenset())]
+    while todo:
+        node, local = todo.pop()
+        inner = local | local_names(node) if isinstance(node, SCOPES) else local
+        for field, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    todo.append((child, inner if field == "body" else local))
+        if getattr(node, "lineno", None) not in skip:
+            if isinstance(node, ast.Name):
+                if node.id not in local:
+                    found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.rpartition(".")[2] for alias in node.names)
     return found
 
 
@@ -578,7 +609,8 @@ def unused_public_names(modules, outside) -> list:
     """(module, name) for each public def or class in ``modules`` that nothing uses.
 
     ``outside`` are the other files a use may sit in: Python files are read
-    with ``ast``, any other file for its words.
+    with ``ast``, Markdown files for the words of their backtick code spans
+    and any other file for its words.
     """
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
     used = set()
@@ -586,6 +618,8 @@ def unused_public_names(modules, outside) -> list:
         text = path.read_text()
         if path.suffix == ".py":
             used |= identifiers(ast.parse(text))
+        elif path.suffix == ".md":
+            used.update(re.findall(r"\w+", " ".join(m[1] for m in CODE_SPAN.findall(text))))
         else:
             used.update(re.findall(r"\w+", text))
     unused = []
@@ -638,15 +672,41 @@ def test_the_surface_guard_sees_an_unused_name(tmp_path):
         "    pass\n"
         "def by_init():\n"
         "    pass\n"
+        "def by_fence():\n"
+        "    pass\n"
+        "def a_parameter():\n"
+        "    pass\n"
+        "def a_local():\n"
+        "    pass\n"
+        "def a_word():\n"
+        "    pass\n"
+        "def by_default():\n"
+        "    pass\n"
         "x = caller()\n"
     )
-    (tmp_path / "pkg" / "other.py").write_text("from .mod import Used\nvalue = mod.by_other\n")
+    (tmp_path / "pkg" / "other.py").write_text(
+        "from .mod import Used\n"
+        "value = mod.by_other\n"
+        "def _takes(a_parameter):\n"
+        "    return a_parameter\n"
+        "def _keeps():\n"
+        "    a_local = 1\n"
+        "    return lambda: a_local\n"
+        "def _passes(by_default=by_default):\n"
+        "    return by_default\n"
+    )
     (tmp_path / "pkg" / "__init__.py").write_text("from .mod import by_init\n")
     (tmp_path / "demo.py").write_text("import pkg\npkg.by_demo()\n")
-    (tmp_path / "README.md").write_text("`by_readme(x)` is for library users.\n")
+    (tmp_path / "README.md").write_text(
+        "`by_readme(x)` is for library users, and a_word is only prose.\n"
+        "```python\nby_fence()\n```\n"
+    )
     modules = sorted((tmp_path / "pkg").glob("*.py"))
     assert unused_public_names(modules, [tmp_path / "demo.py", tmp_path / "README.md"]) == [
         ("mod.py", "recursive"),
         ("mod.py", "unused"),
         ("mod.py", "by_init"),
+        ("mod.py", "a_parameter"),
+        ("mod.py", "a_local"),
+        ("mod.py", "a_word"),
     ]
