@@ -1,14 +1,17 @@
 """Four kinds of lower/upper approximation operators, fuzzy and crisp.
 
 Only the upper operators are computed, on endpoint codes and bitmasks.
-The fuzzy upper operator gives each object the join over y of ``kernel(y)
-meet X(y)``, the kernel being N (kind 1), its transpose M (kind 2), N meet
-M (kind 3) or N join M (kind 4): ``max(map(min, row, X))`` on the low and
-the high codes of ``NeighborhoodSystem.kernel_codes``.  The crisp upper
-operator keeps the objects whose crisp neighborhood (kind 1),
-complementary neighborhood (kind 2), both (kind 3) or either (kind 4)
-meets the target.  A target with an endpoint the space's codes do not
-number (one on a finer grid, say) widens the codes for that target.
+The fuzzy upper operator gives each object the join over y of ``K(x, y)
+meet X(y)``, the kernel K being N (kind 1), its transpose M (kind 2),
+N meet M (kind 3) or N join M (kind 4), on the low and on the high codes.
+That join is >= t exactly when some y has both K(x, y) >= t and
+X(y) >= t, so each object's code is the largest t at which its kernel
+row's t-cut meets X's t-cut, found by binary search on the
+``NeighborhoodSystem``'s ``LevelCuts``; no kernel matrix is built.  The
+crisp upper operator keeps the objects whose crisp neighborhood (kind
+1), complementary neighborhood (kind 2), both (kind 3) or either (kind
+4) meets the target.  A target with an endpoint the space's codes do
+not number (one on a finer grid, say) widens the codes for that target.
 The ``NeighborhoodSystem`` encodes a target, widening if need be, once
 for as long as it is the system's last target (``target_codes``), so
 the eight fuzzy operators on one target encode it once.
@@ -37,8 +40,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .errors import UniverseMismatchError
 from .fuzzysets import CrispSubset, IVFuzzySet
-from .intervals import Codes
-from .neighborhoods import NeighborhoodSystem
+from .neighborhoods import LevelCuts, NeighborhoodSystem
 from .space import SoftSpace
 
 
@@ -87,27 +89,41 @@ def _prepare(space: SoftSpace, kind, target: Target, system) -> Tuple[Kind, Neig
     return kind, system
 
 
-def _fuzzy_codes(ns: NeighborhoodSystem, kind: Kind, target: IVFuzzySet):
-    """The codes, the kind's kernel codes and the target's codes, widened if the target needs it."""
-    codes, remap, x = ns.target_codes(target)
-    return codes, ns.kernel_codes(kind, remap), x
+def _upper_half(cuts: LevelCuts, kind: int, half: int, x: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Per object x_i, on one half: the largest t <= max(x) whose kernel row meets x's t-cut.
+
+    The join over y of (K(x_i, y) meet x(y)) is >= t exactly when some y
+    has both >= t, and both cuts shrink as t grows, so t is found by
+    binary search.
+    """
+    masks, top = cuts.target_cuts(x), max(x, default=0)
+    upper = []
+    for row, diagonal, own in zip(cuts.rows(half, kind), cuts.diagonal(half), x):
+        # y = x_i gives K(x_i, x_i) meet x(x_i), so the search starts there.
+        lo, hi = (diagonal if diagonal < own else own), top
+        while lo < hi:
+            t = (lo + hi + 1) >> 1
+            if row[t] & masks[t]:
+                lo = t
+            else:
+                hi = t - 1
+        upper.append(lo)
+    return tuple(upper)
 
 
-def _fuzzy_upper(kernel, target):
-    """Per object: the join over y of (kernel(y) meet target(y)), on low and high codes."""
-    return tuple(tuple(max(map(min, row, t)) for row in half) for half, t in zip(kernel, target))
-
-
-def fuzzy_on_codes(codes: Codes, kernel, target, lower: bool = False):
+def fuzzy_on_codes(cuts: LevelCuts, kind, target, lower: bool = False):
     """The fuzzy upper approximation of a target, or its dual lower one, on endpoint codes.
 
-    ``kernel`` is a kind's ``(lows, highs)`` code matrices and ``target`` the
-    ``(lows, highs)`` code tuples of a fuzzy set, both under ``codes``; so is
+    ``cuts`` are the level cuts under a code table (``NeighborhoodSystem.
+    target_codes``), ``kind`` a ``Kind`` or its number, and ``target`` the
+    ``(lows, highs)`` code tuples of a fuzzy set under ``cuts.codes``; so is
     the result.
     """
     if lower:
-        return codes.complement(*_fuzzy_upper(kernel, codes.complement(*target)))
-    return _fuzzy_upper(kernel, target)
+        complement = cuts.codes.complement
+        return complement(*fuzzy_on_codes(cuts, kind, complement(*target)))
+    kind = Kind.of(kind).value
+    return tuple(_upper_half(cuts, kind, half, x) for half, x in enumerate(target))
 
 
 # How an object's two hits - its crisp neighborhood meets the target, its
@@ -138,8 +154,8 @@ def crisp_on_mask(ns: NeighborhoodSystem, kind: Kind, target: int, lower: bool =
 def _fuzzy(space, kind, target: IVFuzzySet, system, lower: bool) -> IVFuzzySet:
     """The fuzzy upper approximation of a target, or its dual lower one, decoded."""
     kind, ns = _prepare(space, kind, target, system)
-    codes, kernel, x = _fuzzy_codes(ns, kind, target)
-    return IVFuzzySet(target.universe, codes.decode(*fuzzy_on_codes(codes, kernel, x, lower)))
+    cuts, x = ns.target_codes(target)
+    return IVFuzzySet(target.universe, cuts.codes.decode(*fuzzy_on_codes(cuts, kind, x, lower)))
 
 
 def fuzzy_lower(

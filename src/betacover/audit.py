@@ -44,7 +44,7 @@ from .generate import (
     snap_candidates,
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
-from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
+from .neighborhoods import LevelCuts, NeighborhoodSystem, fuzzy_matrix
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
 
@@ -153,17 +153,18 @@ class TrialContext:
         self._memo: Dict[Hashable, object] = {}
 
     @cached_property
-    def _coded(self):
-        """The space's codes widened by the fuzzy targets' endpoints, and the kernels under them."""
+    def _cuts(self) -> LevelCuts:
+        """Level cuts under a code table that numbers every endpoint of the fuzzy inputs."""
         fuzzy = (self.inputs.fuzzy_x, self.inputs.fuzzy_y, self.inputs.hypothesis_x)
-        codes, remap = self.ns.codes.widen(g for fs in fuzzy if fs for g in fs.grades)
-        if codes.top == self.ns.codes.top:  # no new endpoint: the kernels keep their codes
-            codes, remap = self.ns.codes, None
-        return codes, {k: self.ns.kernel_codes(k, remap) for k in Kind}
+        grades = [g for fs in fuzzy if fs for g in fs.grades]
+        try:
+            self.ns.codes.encode(grades)
+        except KeyError:  # an endpoint the space's codes do not number
+            return LevelCuts(self.ns, *self.ns.codes.widen(grades))
+        return self.ns.level_cuts()
 
     def _fuzzy(self, kind: Kind, target, lower: bool):
-        codes, kernels = self._coded
-        return fuzzy_on_codes(codes, kernels[kind], target, lower)
+        return fuzzy_on_codes(self._cuts, kind, target, lower)
 
     def fl(self, kind: Kind, target):
         return self.cached(("fl", kind, target), self._fuzzy, kind, target, True)
@@ -186,12 +187,12 @@ class TrialContext:
 
     @cached_property
     def fuzzy(self) -> "_Sets":
-        codes, kernels = self._coded
-        u, top, inputs = self.space.universe, codes.top, self.inputs
+        cuts, u, inputs = self._cuts, self.space.universe, self.inputs
+        codes, top = cuts.codes, cuts.codes.top
         x, y = codes.encode(inputs.fuzzy_x.grades), codes.encode(inputs.fuzzy_y.grades)
         h = inputs.hypothesis_x and codes.encode(inputs.hypothesis_x.grades)
         # h is bounded where N_x(x)^c <= h(x) <= N_x(x) at every x.
-        diag = ([row[i] for i, row in enumerate(half)] for half in kernels[Kind.K1])
+        diag = (cuts.diagonal(half) for half in (0, 1))
         if h and not all(top - b <= p <= a and top - a <= q <= b for a, b, p, q in zip(*diag, *h)):
             h = None
         return _Sets(

@@ -16,16 +16,22 @@ code table (``SoftMapping.codes``), with beta placed among the codes by
 ``Codes.at_least``: a row is the int ``min`` of the selected sets' codes
 and a crisp set a bitmask with bit j for object j.  A beta-cut of a meet
 is the intersection of the beta-cuts, so the crisp sets follow from one
-cut per parameter and the fuzzy rows are built only when first read;
-the ``IntervalValue`` matrices are decoded when first read too.
-``fuzzy_matrix`` gives the fuzzy matrix alone, for any mapping and beta.
+cut per parameter.  The same holds at every level t (the resolution
+identity of fuzzy sets), so the fuzzy operators read ``LevelCuts``: for
+each object, the objects whose kernel grade is >= t, as bitmasks built
+from per-parameter t-cuts, and never the n x n kernel.  The fuzzy code
+rows and the ``IntervalValue`` matrices are built only when first read,
+for the matrix readers.  ``fuzzy_matrix`` gives the fuzzy matrix alone,
+for any mapping and beta.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
+from itertools import accumulate
 from operator import and_, or_
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import Codes, IntervalValue, leq_bool
@@ -82,6 +88,145 @@ def _kind_number(kind) -> int:
     return number
 
 
+def _level_masks(row: Sequence[int], top: int) -> List[int]:
+    """``masks[t]``: the bitmask of the entries of a code row that are >= t, for t = 0..top + 1."""
+    at = [0] * (top + 2)
+    for j, c in enumerate(row):
+        at[c] |= 1 << j
+    masks = list(accumulate(reversed(at), or_))
+    masks.reverse()
+    return masks
+
+
+# How many targets' level masks a ``LevelCuts`` keeps: an audit trial reads
+# about 40 distinct code rows, each under every kind and both operators.
+_TARGETS_KEPT = 64
+
+
+class LevelCuts:
+    """The level cuts of a system's four kernels under one code table.
+
+    ``rows(half, kind)[i][t]`` is the bitmask of the y with K(x_i, y) >= t,
+    on the low (half 0) or the high (half 1) codes, K being the kind's
+    kernel.  A t-cut of a meet is the intersection of the t-cuts, so the
+    kind-1 row is the intersection of the t-cuts of the parameters selected
+    at x_i, or every object when none is.  M(x, y) is N(y, x), so the
+    kind-2 row is the complement of the union of the beta-cuts of the
+    parameters whose grade at x_i is below t.  The kind-3 row is the
+    intersection of the two, the kind-4 row their union.  Each row mask is
+    computed when first read, at the levels read, and kept.
+    """
+
+    def __init__(
+        self, ns: "NeighborhoodSystem", codes: Codes, remap: Optional[Sequence[int]] = None
+    ):
+        """Level cuts under ``ns.codes``, or under ``codes`` widened from them with ``remap``."""
+        self.codes = codes
+        sets = ns.space.mapping.set_codes
+        if remap is not None:
+            sets = [tuple(tuple(map(remap.__getitem__, half)) for half in s) for s in sets]
+        self._halves = tuple(zip(*sets))  # per half, each parameter's code row
+        cuts = self._cuts = ns._cuts
+        n = len(ns.space.universe)
+        self._full = (1 << n) - 1
+        # Per object, the parameters whose beta-cut holds it: its index set.
+        self._selected = tuple(
+            tuple(e for e, c in enumerate(cuts) if c >> i & 1) for i in range(n)
+        )
+        self._rows: Dict[Tuple[int, int], Tuple[Dict[int, int], ...]] = {}
+        self._diagonals: Dict[int, Tuple[int, ...]] = {}
+        self._targets: Dict[Tuple[int, ...], List[int]] = {}
+
+    def rows(self, half: int, kind: int) -> Tuple[Dict[int, int], ...]:
+        """Per object x_i, its row masks by level on a half, for kind 1..4, built as read."""
+        rows = self._rows.get((half, kind))
+        if rows is None:
+            rows = self._rows[half, kind] = self._kind_rows(half, kind)
+        return rows
+
+    def diagonal(self, half: int) -> Tuple[int, ...]:
+        """N(x_i, x_i) per object on a half, which M, N meet M and N join M share."""
+        diagonal = self._diagonals.get(half)
+        if diagonal is None:
+            top, columns = self.codes.top, zip(*self._halves[half])
+            diagonal = self._diagonals[half] = tuple(
+                min(map(grades.__getitem__, selected), default=top)
+                for grades, selected in zip(columns, self._selected)
+            )
+        return diagonal
+
+    def target_cuts(self, row: Tuple[int, ...]) -> List[int]:
+        """``masks[t]``: the objects whose code in a target's code row is >= t.
+
+        Kept for the last ``_TARGETS_KEPT`` rows read.
+        """
+        masks = self._targets.get(row)
+        if masks is None:
+            if len(self._targets) == _TARGETS_KEPT:
+                del self._targets[next(iter(self._targets))]
+            masks = self._targets[row] = _level_masks(row, self.codes.top)
+        return masks
+
+    def _kind_rows(self, half: int, kind: int) -> Tuple[Dict[int, int], ...]:
+        full = self._full
+        if kind == 1:
+            top = self.codes.top
+            params = [_level_masks(p, top) for p in self._halves[half]]
+            return tuple(
+                _MeetRow([params[e] for e in selected], full) for selected in self._selected
+            )
+        if kind == 2:
+            cuts = self._cuts
+            rows = []
+            for grades in zip(*self._halves[half]):
+                order = sorted(range(len(grades)), key=grades.__getitem__)
+                below = list(accumulate((cuts[e] for e in order), or_, initial=0))
+                rows.append(_CoRow([grades[e] for e in order], below, full))
+            return tuple(rows)
+        combine = and_ if kind == 3 else or_
+        pairs = zip(self.rows(half, 1), self.rows(half, 2))
+        return tuple(_CombinedRow(n_row, m_row, combine) for n_row, m_row in pairs)
+
+
+class _MeetRow(dict):
+    """An object's kind-1 rows: the intersection of its selected parameters' t-cuts."""
+
+    __slots__ = ("_params", "_full")
+
+    def __init__(self, params: List[List[int]], full: int):
+        self._params, self._full = params, full
+
+    def __missing__(self, t: int) -> int:
+        row = self[t] = reduce(and_, [masks[t] for masks in self._params], self._full)
+        return row
+
+
+class _CoRow(dict):
+    """An object's kind-2 rows: outside the beta-cut of each parameter graded below t."""
+
+    __slots__ = ("_grades", "_below", "_full")
+
+    def __init__(self, grades: List[int], below: List[int], full: int):
+        self._grades, self._below, self._full = grades, below, full
+
+    def __missing__(self, t: int) -> int:
+        row = self[t] = self._full ^ self._below[bisect_left(self._grades, t)]
+        return row
+
+
+class _CombinedRow(dict):
+    """An object's kind-3 or kind-4 rows: its kind-1 and kind-2 rows combined."""
+
+    __slots__ = ("_n_row", "_m_row", "_combine")
+
+    def __init__(self, n_row: Dict[int, int], m_row: Dict[int, int], combine: Callable):
+        self._n_row, self._m_row, self._combine = n_row, m_row, combine
+
+    def __missing__(self, t: int) -> int:
+        row = self[t] = self._combine(self._n_row[t], self._m_row[t])
+        return row
+
+
 class NeighborhoodSystem:
     """Neighborhood matrices of one space, on its mapping's endpoint codes.
 
@@ -90,17 +235,19 @@ class NeighborhoodSystem:
     cuts, so x's crisp neighborhood is the intersection of the ``c_s`` that
     hold x, its crisp complementary neighborhood the intersection of the
     complements of those that do not, and x has an empty index set when no
-    ``c_s`` holds it.  The fuzzy code rows and their transposes are built on
-    the first ``kernel_codes`` call, so a crisp-only caller never builds
-    them; the kind-3 and kind-4 kernels and the decoded matrices on first
-    use too.  The codes of the last fuzzy target are kept (``target_codes``).
+    ``c_s`` holds it.  The level cuts the fuzzy operators read are built on
+    the first ``level_cuts`` or ``target_codes`` call, and the last fuzzy
+    target is kept with its codes and their level cuts.  The kernels' code
+    rows are built on the first ``kernel_codes`` call and the decoded
+    matrices on first use, for the matrix readers: no operator reads them.
     """
 
     def __init__(self, space: SoftSpace):
         self.space = space
         self._codes = space.mapping.codes
         self._beta = self._codes.at_least(space.beta)
-        n, cuts = len(space.universe), [self.cut(*s) for s in space.mapping.set_codes]
+        n = len(space.universe)
+        cuts = self._cuts = tuple(self.cut(*s) for s in space.mapping.set_codes)
         full = (1 << n) - 1
         self._crisp = tuple(reduce(and_, (c for c in cuts if c >> i & 1), full) for i in range(n))
         self._crisp_co = tuple(
@@ -112,7 +259,7 @@ class NeighborhoodSystem:
         )
         self._kernel_codes = {}
         self._kernels = {}
-        self._target = self._target_codes = None
+        self._level_cuts = self._target = self._target_codes = None
 
     @property
     def codes(self) -> Codes:
@@ -124,34 +271,37 @@ class NeighborhoodSystem:
         b_lo, b_hi = self._beta
         return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
 
+    def level_cuts(self) -> LevelCuts:
+        """The level cuts under the space's codes, built on the first call and kept."""
+        if self._level_cuts is None:
+            self._level_cuts = LevelCuts(self, self._codes)
+        return self._level_cuts
+
     def target_codes(
         self, target: IVFuzzySet
-    ) -> Tuple[Codes, Optional[List[int]], Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """``(codes, remap, (lows, highs))``: a code table for the target, and the target's codes.
+    ) -> Tuple[LevelCuts, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """``(cuts, (lows, highs))``: level cuts under a code table for the target, and its codes.
 
-        ``codes`` is the space's own table and ``remap`` None when that table
-        numbers every endpoint of the target; otherwise both come from
-        ``codes.widen``.  The last target is kept, by reference, and known
-        again by identity: an ``IVFuzzySet`` never changes.
+        The table is the space's own when it numbers every endpoint of the
+        target, with ``level_cuts()``; otherwise it is ``codes.widen``'s, with
+        level cuts of its own.  The last target is kept with them, by
+        reference, and known again by identity: an ``IVFuzzySet`` never changes.
         """
         if target is not self._target:
-            codes, remap = self._codes, None
             try:
-                x = codes.encode(target.grades)
+                x = self._codes.encode(target.grades)
+                cuts = self.level_cuts()
             except KeyError:  # an endpoint the space's codes do not number
-                codes, remap = codes.widen(target.grades)
-                x = codes.encode(target.grades)
-            self._target, self._target_codes = target, (codes, remap, x)
+                cuts = LevelCuts(self, *self._codes.widen(target.grades))
+                x = cuts.codes.encode(target.grades)
+            self._target, self._target_codes = target, (cuts, x)
         return self._target_codes
 
-    def kernel_codes(
-        self, kind, remap: Optional[Sequence[int]] = None
-    ) -> Tuple[_CodeMatrix, _CodeMatrix]:
+    def kernel_codes(self, kind) -> Tuple[_CodeMatrix, _CodeMatrix]:
         """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
 
         ``kind`` is a ``Kind`` or its number 1..4 as an int; anything else is
-        rejected.  Given the ``remap`` of a widening of ``codes``
-        (``Codes.widen``), the codes are those of the wider table.
+        rejected.
         """
         kind = _kind_number(kind)
         if not self._kernel_codes:
@@ -162,10 +312,7 @@ class NeighborhoodSystem:
                 tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))
                 for n, m in zip(self._kernel_codes[1], self._kernel_codes[2])
             )
-        kernel = self._kernel_codes[kind]
-        if remap is None:
-            return kernel
-        return tuple(tuple(tuple(map(remap.__getitem__, row)) for row in half) for half in kernel)
+        return self._kernel_codes[kind]
 
     def kernel(self, kind) -> Matrix:
         """The ``IntervalValue`` matrix of ``kernel_codes(kind)``."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -24,7 +25,13 @@ from betacover import (
     fuzzy_upper,
     gen_space,
 )
-from betacover.generate import sample_crisp_subset, sample_fuzzy_set
+from betacover.approximations import fuzzy_on_codes
+from betacover.generate import (
+    exhaustive_spaces,
+    grid_intervals,
+    sample_crisp_subset,
+    sample_fuzzy_set,
+)
 from betacover.oracle import (
     oracle_crisp_lower,
     oracle_crisp_tables,
@@ -34,7 +41,15 @@ from betacover.oracle import (
     oracle_fuzzy_upper,
 )
 
-from conftest import endpoints, fuzzy, iv, make_space, mixed_intervals, mixed_spaces
+from conftest import (
+    endpoints,
+    fuzzy,
+    hostile_interval,
+    iv,
+    make_space,
+    mixed_intervals,
+    mixed_spaces,
+)
 
 
 @pytest.fixture
@@ -255,6 +270,74 @@ def assert_matches_oracle(space, ns, fx, cx):
         assert crisp_upper(space, kind, cx, ns) == oracle_crisp_upper(space, kind, cx, crisp_tables)
 
 
+def kernel_upper(ns: NeighborhoodSystem, codes, kind, target, lower: bool):
+    """The operator by its definition on codes: per object, the join over y of K(x, y) meet X(y).
+
+    The kernel is ``ns.kernel_codes(kind)``, carried to ``codes`` (the
+    space's or a widening of them) point by point; the lower operator is
+    the complement of the upper one on the complement.
+    """
+    index = {p: k for k, p in enumerate(codes.points)}
+    remap = [index[p] for p in ns.codes.points]
+    kernel = [[[remap[c] for c in row] for row in half] for half in ns.kernel_codes(kind)]
+    x = codes.complement(*target) if lower else target
+    upper = tuple(tuple(max(map(min, row, t)) for row in half) for half, t in zip(kernel, x))
+    return codes.complement(*upper) if lower else upper
+
+
+def assert_level_cuts_match_the_kernel(space, targets):
+    ns = NeighborhoodSystem(space)
+    for target in targets:
+        cuts, x = ns.target_codes(target)
+        for kind in Kind:
+            for lower in (False, True):
+                expected = kernel_upper(ns, cuts.codes, kind, x, lower)
+                assert fuzzy_on_codes(cuts, kind, x, lower) == expected, (kind, lower)
+
+
+class TestLevelCutsMatchTheKernel:
+    """The binary search on level cuts gives the join of the kernel meet the target."""
+
+    def test_every_small_space(self):
+        grid = grid_intervals(2)
+        samples = {1: [(g,) for g in grid], 2: list(itertools.product(grid, repeat=2))[::9]}
+        for space in exhaustive_spaces(2, 2, 2):
+            u = space.universe
+            assert_level_cuts_match_the_kernel(
+                space, [IVFuzzySet(u, grades) for grades in samples[len(u)]]
+            )
+
+    def test_large_spaces(self):
+        rng = random.Random("level-cuts-large")
+        for seed in range(3):
+            space = gen_space(GenConfig(60, 10, 20, seed=seed))
+            targets = [sample_fuzzy_set(space.universe, rng, 20) for _ in range(2)]
+            assert_level_cuts_match_the_kernel(space, targets)
+
+    def test_an_empty_index_set(self, gap_space, xyz, target):
+        assert NeighborhoodSystem(gap_space).empty_index_objects == {"z"}
+        tops = fuzzy(xyz, x="[1,1]", y="[0,1]", z="[0.3,0.6]")
+        assert_level_cuts_match_the_kernel(gap_space, [target, tops])
+
+    def test_targets_that_widen_the_codes(self):
+        rng = random.Random("level-cuts-widened")
+        for seed in range(10):
+            space = gen_space(GenConfig(8, 4, 10, seed=seed))
+            targets = [sample_fuzzy_set(space.universe, rng, d) for d in (7, 40)]
+            ns = NeighborhoodSystem(space)
+            assert all(ns.target_codes(t)[0].codes is not ns.codes for t in targets)
+            assert_level_cuts_match_the_kernel(space, targets)
+
+    def test_hostile_grades(self):
+        rng = random.Random("level-cuts-hostile")
+        u = Universe(tuple(f"x{i}" for i in range(12)))
+        table = {f"e{j}": {o: hostile_interval(rng) for o in u} for j in range(4)}
+        space = build_space(SoftMapping.from_dict(u, table), iv("[1/4,1/2]"), "repair:e0")
+        own = IVFuzzySet(u, tuple(space.mapping.assignment[1].grades[::-1]))
+        fresh = IVFuzzySet(u, tuple(hostile_interval(rng) for _ in u))
+        assert_level_cuts_match_the_kernel(space, [own, fresh])
+
+
 class TestTargetMemos:
     """A system and oracle tables keep their last target, and serve it to no other target."""
 
@@ -284,7 +367,7 @@ class TestTargetMemos:
                     assert oracle(space, kind, target, fresh_tables) == expected
                     assert oracle(space, kind, target, tables) == expected
             if target is y:
-                assert ns.target_codes(y)[1] is not None  # y widened the codes
+                assert ns.target_codes(y)[0].codes is not ns.codes  # y widened the codes
                 assert tables.scaled(y).d != tables.scale.d  # and a fold of its own
 
     def test_each_scale_keeps_its_own_results(self, xyz):

@@ -29,7 +29,9 @@ systems share.
 The oracle is the independent check on the fast path, so it takes only
 ``Kind`` from ``approximations``, nothing from ``neighborhoods``, and of
 ``intervals`` only ``IntervalValue`` and the ``scaled_endpoints`` helper.  The operators in ``approximations`` work on
-endpoint codes, so they import none of the per-entry interval operations.
+endpoint codes, so they import none of the per-entry interval operations,
+and the fuzzy ones read level cuts, so ``approximations`` names no kernel
+matrix reader (``kernel``, ``kernel_codes``, ``matrix`` and the like).
 
 Every public module-level function and class has a user outside the tests:
 its own module, another package module, ``perfbench``, a demo,
@@ -467,6 +469,62 @@ def test_the_operator_guard_sees_every_form(tmp_path):
         "from betacover import intervals",
         "import betacover.intervals",
         "from betacover.intervals import family_join",
+    ]
+
+
+# The fuzzy operators read the level cuts alone; the kernel matrices are for
+# the matrix readers (the neighborhood command, the audit's laws).
+KERNEL_READERS = {
+    "kernel", "kernel_codes", "matrix", "matrix_json", "fuzzy_matrix",
+    "fuzzy_neighborhood", "complementary_fuzzy_neighborhood",
+}
+
+
+def kernel_reads(path: Path) -> list:
+    """(line, name) for each kernel reader the module names, in any form, or spells as a string."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.rpartition(".")[2], node.asname]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, DEFINITIONS):
+            names = [node.name]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names if name in KERNEL_READERS)
+    return sorted(found)
+
+
+def test_the_fuzzy_operators_read_no_kernel():
+    assert kernel_reads(PACKAGE / "approximations.py") == []
+
+
+def test_the_kernel_guard_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""The kernel and its kernel_codes, in prose."""\n'
+        "from .neighborhoods import fuzzy_matrix as fm, LevelCuts\n"
+        "def f(ns, kernel, kernels):\n"
+        "    rows = ns.kernel_codes(1), ns.kernels, ns.kernel_of\n"
+        "    return getattr(ns, 'kernel')(2), ns.matrix\n"
+        "def fuzzy_neighborhood():\n"
+        "    pass\n"
+    )
+    assert kernel_reads(sample) == [
+        (2, "fuzzy_matrix"),
+        (3, "kernel"),
+        (4, "kernel_codes"),
+        (5, "kernel"),
+        (5, "matrix"),
+        (6, "fuzzy_neighborhood"),
     ]
 
 

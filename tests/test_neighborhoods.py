@@ -16,6 +16,8 @@ from betacover import (
     approximate,
     build_space,
     crisp_of,
+    fuzzy_lower,
+    fuzzy_upper,
     neighborhoods,
 )
 from betacover.cli import run_cli
@@ -264,7 +266,10 @@ class TestCutIdentity:
 
 
 class TestFuzzyRowsOnDemand:
-    """A crisp request builds no fuzzy rows; a fuzzy one builds them once."""
+    """The fuzzy rows are built once, for the matrix readers; no operator builds them.
+
+    The operators read level cuts instead, built once per code table.
+    """
 
     @pytest.fixture
     def row_builds(self, monkeypatch):
@@ -295,7 +300,7 @@ class TestFuzzyRowsOnDemand:
         ns.matrix, ns.fuzzy_neighborhood("x"), ns.complementary_fuzzy_neighborhood("z")
         assert len(row_builds) == 1
         approximate(derived_space, 3, fuzzy_target)
-        assert len(row_builds) == 2
+        assert len(row_builds) == 1
 
     @pytest.mark.parametrize("kind", ["1", "3", "4"])
     def test_cli_requests(self, tmp_path, row_builds, kind):
@@ -308,4 +313,35 @@ class TestFuzzyRowsOnDemand:
         assert run_cli([*argv, "crisp", "--set", str(crisp_set)]) == 0
         assert len(row_builds) == 0
         assert run_cli([*argv, "fuzzy", "--set", str(fuzzy_set)]) == 0
-        assert len(row_builds) == 1
+        assert len(row_builds) == 0
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        calls = []
+
+        class Counted(neighborhoods.LevelCuts):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(neighborhoods, "LevelCuts", Counted)
+        return calls
+
+    def test_one_level_table_per_code_table(self, derived_space, xyz, row_builds, table_builds):
+        ns = NeighborhoodSystem(derived_space)
+        for kind in Kind:
+            approximate(derived_space, kind, CrispSubset.of(xyz, ["x", "z"]), ns)
+        assert len(table_builds) == 0
+        own = fuzzy(xyz, x="[0.5,0.5]", y="[0.2,0.3]", z="[0.6,0.8]")
+        # 1/7 is no endpoint of the space, so this target widens the codes.
+        finer = fuzzy(xyz, x="[1/7,1/2]", y="[0.2,0.3]", z="[0.6,6/7]")
+        for target, builds in ((own, 1), (finer, 2)):
+            for kind in Kind:
+                fuzzy_lower(derived_space, kind, target, ns)
+                fuzzy_upper(derived_space, kind, target, ns)
+            assert len(table_builds) == builds
+        assert ns.target_codes(finer)[0].codes is not ns.codes
+        # Back on the space's codes, the first table serves again.
+        fuzzy_upper(derived_space, 2, own, ns)
+        assert len(table_builds) == 2 and ns.target_codes(own)[0] is ns.level_cuts()
+        assert len(row_builds) == 0
