@@ -32,6 +32,7 @@ both operators from their definitions and is the cross-check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
@@ -96,14 +97,15 @@ def _upper_half(cuts: LevelCuts, kind: int, half: int, x: Tuple[int, ...]) -> Tu
     has both >= t, and both cuts shrink as t grows, so t is found by
     binary search.
     """
-    masks, top = cuts.target_cuts(x), max(x, default=0)
+    levels, above = cuts.target_cuts(x)
+    masks, n, top, k = cuts.masks(half), cuts.n, levels[-1], kind - 1
     upper = []
-    for row, diagonal, own in zip(cuts.rows(half, kind), cuts.diagonal(half), x):
+    for i, diagonal, own in zip(count(), cuts.diagonal(half), x):
         # y = x_i gives K(x_i, x_i) meet x(x_i), so the search starts there.
         lo, hi = (diagonal if diagonal < own else own), top
         while lo < hi:
             t = (lo + hi + 1) >> 1
-            if row[t] & masks[t]:
+            if masks[t * n + i][k] & above[bisect_left(levels, t)]:
                 lo = t
             else:
                 hi = t - 1

@@ -44,7 +44,7 @@ from .generate import (
     snap_candidates,
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
-from .neighborhoods import LevelCuts, NeighborhoodSystem, fuzzy_matrix
+from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
 
@@ -153,18 +153,17 @@ class TrialContext:
         self._memo: Dict[Hashable, object] = {}
 
     @cached_property
-    def _cuts(self) -> LevelCuts:
-        """Level cuts under a code table that numbers every endpoint of the fuzzy inputs."""
-        fuzzy = (self.inputs.fuzzy_x, self.inputs.fuzzy_y, self.inputs.hypothesis_x)
-        grades = [g for fs in fuzzy if fs for g in fs.grades]
-        try:
-            self.ns.codes.encode(grades)
-        except KeyError:  # an endpoint the space's codes do not number
-            return LevelCuts(self.ns, *self.ns.codes.widen(grades))
-        return self.ns.level_cuts()
+    def _encoded(self):
+        """Level cuts under a code table that numbers every endpoint of the fuzzy inputs,
+        and the codes of ``fuzzy_x``, ``fuzzy_y`` and ``hypothesis_x`` (None when absent)."""
+        x, y, h = self.inputs.fuzzy_x, self.inputs.fuzzy_y, self.inputs.hypothesis_x
+        cuts, (lows, highs) = self.ns.encode([*x.grades, *y.grades, *(() if h is None else h.grades)])
+        n = len(x.grades)
+        h = None if h is None else (lows[2 * n :], highs[2 * n :])
+        return cuts, ((lows[:n], highs[:n]), (lows[n : 2 * n], highs[n : 2 * n]), h)
 
     def _fuzzy(self, kind: Kind, target, lower: bool):
-        return fuzzy_on_codes(self._cuts, kind, target, lower)
+        return fuzzy_on_codes(self._encoded[0], kind, target, lower)
 
     def fl(self, kind: Kind, target):
         return self.cached(("fl", kind, target), self._fuzzy, kind, target, True)
@@ -187,10 +186,8 @@ class TrialContext:
 
     @cached_property
     def fuzzy(self) -> "_Sets":
-        cuts, u, inputs = self._cuts, self.space.universe, self.inputs
+        (cuts, (x, y, h)), u = self._encoded, self.space.universe
         codes, top = cuts.codes, cuts.codes.top
-        x, y = codes.encode(inputs.fuzzy_x.grades), codes.encode(inputs.fuzzy_y.grades)
-        h = inputs.hypothesis_x and codes.encode(inputs.hypothesis_x.grades)
         # h is bounded where N_x(x)^c <= h(x) <= N_x(x) at every x.
         diag = (cuts.diagonal(half) for half in (0, 1))
         if h and not all(top - b <= p <= a and top - a <= q <= b for a, b, p, q in zip(*diag, *h)):

@@ -19,7 +19,8 @@ is the intersection of the beta-cuts, so the crisp sets follow from one
 cut per parameter.  The same holds at every level t (the resolution
 identity of fuzzy sets), so the fuzzy operators read ``LevelCuts``: for
 each object, the objects whose kernel grade is >= t, as bitmasks built
-from per-parameter t-cuts, and never the n x n kernel.  The fuzzy code
+from per-parameter t-cuts at the levels a search reads, and never the
+n x n kernel.  The fuzzy code
 rows and the ``IntervalValue`` matrices are built only when first read,
 for the matrix readers.  ``fuzzy_matrix`` gives the fuzzy matrix alone,
 for any mapping and beta.
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import and_, or_
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .fuzzysets import CrispSubset, IVFuzzySet
 from .intervals import Codes, IntervalValue, leq_bool
@@ -88,61 +89,79 @@ def _kind_number(kind) -> int:
     return number
 
 
-def _level_masks(row: Sequence[int], top: int) -> List[int]:
-    """``masks[t]``: the bitmask of the entries of a code row that are >= t, for t = 0..top + 1."""
-    at = [0] * (top + 2)
+def _at_least(row: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """``(levels, above)`` of a code row: its distinct codes in ascending order, and
+    ``above[k]`` the bitmask of its entries >= ``levels[k]`` (``above[-1]`` is 0), so
+    that the entries >= t are ``above[bisect_left(levels, t)]``.
+    """
+    at: Dict[int, int] = {}
     for j, c in enumerate(row):
-        at[c] |= 1 << j
-    masks = list(accumulate(reversed(at), or_))
-    masks.reverse()
-    return masks
+        at[c] = at.get(c, 0) | 1 << j
+    levels = sorted(at)
+    above = list(accumulate(map(at.__getitem__, reversed(levels)), or_, initial=0))
+    above.reverse()
+    return levels, above
 
 
-# How many targets' level masks a ``LevelCuts`` keeps: an audit trial reads
-# about 40 distinct code rows, each under every kind and both operators.
+class _Lazy(dict):
+    """Values by key, each built by ``build(key)`` when first read, and kept."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable):
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+# A trial of the audit reads at most 37 distinct target rows per code table,
+# each about five times (measured on 300 trials of each criterion-2
+# configuration); the eight operators of ``approximate`` read four.
 _TARGETS_KEPT = 64
 
 
 class LevelCuts:
     """The level cuts of a system's four kernels under one code table.
 
-    ``rows(half, kind)[i][t]`` is the bitmask of the y with K(x_i, y) >= t,
-    on the low (half 0) or the high (half 1) codes, K being the kind's
-    kernel.  A t-cut of a meet is the intersection of the t-cuts, so the
-    kind-1 row is the intersection of the t-cuts of the parameters selected
-    at x_i, or every object when none is.  M(x, y) is N(y, x), so the
-    kind-2 row is the complement of the union of the beta-cuts of the
-    parameters whose grade at x_i is below t.  The kind-3 row is the
-    intersection of the two, the kind-4 row their union.  Each row mask is
-    computed when first read, at the levels read, and kept.
+    Built by ``NeighborhoodSystem.encode`` only.  ``masks(half)[t * n + i]``
+    holds, for kinds 1..4 in order, the bitmask of the y with K(x_i, y) >=
+    t, on the low (half 0) or the high (half 1) codes, K being the kind's
+    kernel and n the number of objects.  A t-cut of a meet is the
+    intersection of the t-cuts, so the kind-1 mask is the intersection of
+    the t-cuts of the parameters selected at x_i, or every object when none
+    is.  M(x, y) is N(y, x), so the kind-2 mask is the complement of the
+    union of the beta-cuts of the parameters whose grade at x_i is below t.
+    The kind-3 mask is the intersection of the two, the kind-4 mask their
+    union.  A parameter's t-cut is read by bisection from its ``_at_least``
+    table.  The parameters' cuts at a level and the masks at a (level,
+    object) are computed when a search first reads them, and kept, so the
+    memory held is O(m n) masks per half, plus m masks per level read and
+    four per (level, object) read; a target's table is O(n) masks.
     """
 
-    def __init__(
-        self, ns: "NeighborhoodSystem", codes: Codes, remap: Optional[Sequence[int]] = None
-    ):
-        """Level cuts under ``ns.codes``, or under ``codes`` widened from them with ``remap``."""
+    def __init__(self, codes: Codes, sets: Sequence[Tuple[Tuple[int, ...], ...]], cuts: Tuple[int, ...]):
+        """Level cuts under ``codes``, of the parameters' code rows ``sets`` and their beta-cuts ``cuts``."""
         self.codes = codes
-        sets = ns.space.mapping.set_codes
-        if remap is not None:
-            sets = [tuple(tuple(map(remap.__getitem__, half)) for half in s) for s in sets]
         self._halves = tuple(zip(*sets))  # per half, each parameter's code row
-        cuts = self._cuts = ns._cuts
-        n = len(ns.space.universe)
+        self._cuts = cuts
+        n = self.n = len(sets[0][0])
         self._full = (1 << n) - 1
         # Per object, the parameters whose beta-cut holds it: its index set.
         self._selected = tuple(
             tuple(e for e, c in enumerate(cuts) if c >> i & 1) for i in range(n)
         )
-        self._rows: Dict[Tuple[int, int], Tuple[Dict[int, int], ...]] = {}
+        self._masks: Dict[int, _Lazy] = {}
         self._diagonals: Dict[int, Tuple[int, ...]] = {}
-        self._targets: Dict[Tuple[int, ...], List[int]] = {}
+        self._targets: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
 
-    def rows(self, half: int, kind: int) -> Tuple[Dict[int, int], ...]:
-        """Per object x_i, its row masks by level on a half, for kind 1..4, built as read."""
-        rows = self._rows.get((half, kind))
-        if rows is None:
-            rows = self._rows[half, kind] = self._kind_rows(half, kind)
-        return rows
+    def masks(self, half: int) -> Dict[int, Tuple[int, int, int, int]]:
+        """The four kinds' masks on a half, keyed by ``t * n + i``, each built when first read."""
+        masks = self._masks.get(half)
+        if masks is None:
+            masks = self._masks[half] = _Lazy(self._builder(half))
+        return masks
 
     def diagonal(self, half: int) -> Tuple[int, ...]:
         """N(x_i, x_i) per object on a half, which M, N meet M and N join M share."""
@@ -155,76 +174,28 @@ class LevelCuts:
             )
         return diagonal
 
-    def target_cuts(self, row: Tuple[int, ...]) -> List[int]:
-        """``masks[t]``: the objects whose code in a target's code row is >= t.
-
-        Kept for the last ``_TARGETS_KEPT`` rows read.
-        """
-        masks = self._targets.get(row)
-        if masks is None:
+    def target_cuts(self, row: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
+        """The ``_at_least`` table of a target's code row, kept for the last ``_TARGETS_KEPT`` rows."""
+        table = self._targets.get(row)
+        if table is None:
             if len(self._targets) == _TARGETS_KEPT:
                 del self._targets[next(iter(self._targets))]
-            masks = self._targets[row] = _level_masks(row, self.codes.top)
-        return masks
+            table = self._targets[row] = _at_least(row)
+        return table
 
-    def _kind_rows(self, half: int, kind: int) -> Tuple[Dict[int, int], ...]:
-        full = self._full
-        if kind == 1:
-            top = self.codes.top
-            params = [_level_masks(p, top) for p in self._halves[half]]
-            return tuple(
-                _MeetRow([params[e] for e in selected], full) for selected in self._selected
-            )
-        if kind == 2:
-            cuts = self._cuts
-            rows = []
-            for grades in zip(*self._halves[half]):
-                order = sorted(range(len(grades)), key=grades.__getitem__)
-                below = list(accumulate((cuts[e] for e in order), or_, initial=0))
-                rows.append(_CoRow([grades[e] for e in order], below, full))
-            return tuple(rows)
-        combine = and_ if kind == 3 else or_
-        pairs = zip(self.rows(half, 1), self.rows(half, 2))
-        return tuple(_CombinedRow(n_row, m_row, combine) for n_row, m_row in pairs)
+    def _builder(self, half: int) -> Callable[[int], Tuple[int, int, int, int]]:
+        n, full, cuts, selected = self.n, self._full, self._cuts, self._selected
+        tables = [_at_least(p) for p in self._halves[half]]
+        at = _Lazy(lambda t: [above[bisect_left(levels, t)] for levels, above in tables])
+        columns = tuple(zip(*self._halves[half]))
 
+        def build(key: int) -> Tuple[int, int, int, int]:
+            t, i = divmod(key, n)
+            meet = reduce(and_, map(at[t].__getitem__, selected[i]), full)
+            co = full ^ reduce(or_, compress(cuts, map(t.__gt__, columns[i])), 0)
+            return meet, co, meet & co, meet | co
 
-class _MeetRow(dict):
-    """An object's kind-1 rows: the intersection of its selected parameters' t-cuts."""
-
-    __slots__ = ("_params", "_full")
-
-    def __init__(self, params: List[List[int]], full: int):
-        self._params, self._full = params, full
-
-    def __missing__(self, t: int) -> int:
-        row = self[t] = reduce(and_, [masks[t] for masks in self._params], self._full)
-        return row
-
-
-class _CoRow(dict):
-    """An object's kind-2 rows: outside the beta-cut of each parameter graded below t."""
-
-    __slots__ = ("_grades", "_below", "_full")
-
-    def __init__(self, grades: List[int], below: List[int], full: int):
-        self._grades, self._below, self._full = grades, below, full
-
-    def __missing__(self, t: int) -> int:
-        row = self[t] = self._full ^ self._below[bisect_left(self._grades, t)]
-        return row
-
-
-class _CombinedRow(dict):
-    """An object's kind-3 or kind-4 rows: its kind-1 and kind-2 rows combined."""
-
-    __slots__ = ("_n_row", "_m_row", "_combine")
-
-    def __init__(self, n_row: Dict[int, int], m_row: Dict[int, int], combine: Callable):
-        self._n_row, self._m_row, self._combine = n_row, m_row, combine
-
-    def __missing__(self, t: int) -> int:
-        row = self[t] = self._combine(self._n_row[t], self._m_row[t])
-        return row
+        return build
 
 
 class NeighborhoodSystem:
@@ -236,8 +207,8 @@ class NeighborhoodSystem:
     hold x, its crisp complementary neighborhood the intersection of the
     complements of those that do not, and x has an empty index set when no
     ``c_s`` holds it.  The level cuts the fuzzy operators read are built on
-    the first ``level_cuts`` or ``target_codes`` call, and the last fuzzy
-    target is kept with its codes and their level cuts.  The kernels' code
+    the first ``encode`` call, and the last fuzzy target is kept with its
+    codes and their level cuts (``target_codes``).  The kernels' code
     rows are built on the first ``kernel_codes`` call and the decoded
     matrices on first use, for the matrix readers: no operator reads them.
     """
@@ -247,7 +218,8 @@ class NeighborhoodSystem:
         self._codes = space.mapping.codes
         self._beta = self._codes.at_least(space.beta)
         n = len(space.universe)
-        cuts = self._cuts = tuple(self.cut(*s) for s in space.mapping.set_codes)
+        self._sets = space.mapping.set_codes
+        cuts = self._cuts = tuple(self.cut(*s) for s in self._sets)
         full = (1 << n) - 1
         self._crisp = tuple(reduce(and_, (c for c in cuts if c >> i & 1), full) for i in range(n))
         self._crisp_co = tuple(
@@ -271,30 +243,35 @@ class NeighborhoodSystem:
         b_lo, b_hi = self._beta
         return sum(1 << j for j, (a, b) in enumerate(zip(lows, highs)) if a >= b_lo and b >= b_hi)
 
-    def level_cuts(self) -> LevelCuts:
-        """The level cuts under the space's codes, built on the first call and kept."""
+    def encode(
+        self, grades: Sequence[IntervalValue]
+    ) -> Tuple[LevelCuts, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """``(cuts, (lows, highs))``: level cuts under a code table that numbers the grades, and their codes.
+
+        The table is the space's own when it numbers every endpoint of the
+        grades, with its level cuts built on the first call and kept;
+        otherwise it is ``codes.widen``'s, with level cuts of its own.
+        """
+        try:
+            x = self._codes.encode(grades)
+        except KeyError:  # an endpoint the space's codes do not number
+            codes, remap = self._codes.widen(grades)
+            sets = [tuple(tuple(map(remap.__getitem__, half)) for half in s) for s in self._sets]
+            cuts = LevelCuts(codes, sets, self._cuts)
+            return cuts, codes.encode(grades)
         if self._level_cuts is None:
-            self._level_cuts = LevelCuts(self, self._codes)
-        return self._level_cuts
+            self._level_cuts = LevelCuts(self._codes, self._sets, self._cuts)
+        return self._level_cuts, x
 
     def target_codes(
         self, target: IVFuzzySet
     ) -> Tuple[LevelCuts, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """``(cuts, (lows, highs))``: level cuts under a code table for the target, and its codes.
+        """``encode(target.grades)``, for the last target kept by reference.
 
-        The table is the space's own when it numbers every endpoint of the
-        target, with ``level_cuts()``; otherwise it is ``codes.widen``'s, with
-        level cuts of its own.  The last target is kept with them, by
-        reference, and known again by identity: an ``IVFuzzySet`` never changes.
+        The target is known again by identity: an ``IVFuzzySet`` never changes.
         """
         if target is not self._target:
-            try:
-                x = self._codes.encode(target.grades)
-                cuts = self.level_cuts()
-            except KeyError:  # an endpoint the space's codes do not number
-                cuts = LevelCuts(self, *self._codes.widen(target.grades))
-                x = cuts.codes.encode(target.grades)
-            self._target, self._target_codes = target, (cuts, x)
+            self._target, self._target_codes = target, self.encode(target.grades)
         return self._target_codes
 
     def kernel_codes(self, kind) -> Tuple[_CodeMatrix, _CodeMatrix]:

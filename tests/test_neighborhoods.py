@@ -343,5 +343,5 @@ class TestFuzzyRowsOnDemand:
         assert ns.target_codes(finer)[0].codes is not ns.codes
         # Back on the space's codes, the first table serves again.
         fuzzy_upper(derived_space, 2, own, ns)
-        assert len(table_builds) == 2 and ns.target_codes(own)[0] is ns.level_cuts()
+        assert len(table_builds) == 2 and ns.target_codes(own)[0] is ns.encode(own.grades)[0]
         assert len(row_builds) == 0
