@@ -157,7 +157,8 @@ class TrialContext:
         """Level cuts under a code table that numbers every endpoint of the fuzzy inputs,
         and the codes of ``fuzzy_x``, ``fuzzy_y`` and ``hypothesis_x`` (None when absent)."""
         x, y, h = self.inputs.fuzzy_x, self.inputs.fuzzy_y, self.inputs.hypothesis_x
-        cuts, (lows, highs) = self.ns.encode([*x.grades, *y.grades, *(() if h is None else h.grades)])
+        grades = [*x.grades, *y.grades, *(() if h is None else h.grades)]
+        cuts, (lows, highs) = self.ns.encode(grades)
         n = len(x.grades)
         h = None if h is None else (lows[2 * n :], highs[2 * n :])
         return cuts, ((lows[:n], highs[:n]), (lows[n : 2 * n], highs[n : 2 * n]), h)

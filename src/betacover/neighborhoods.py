@@ -141,8 +141,10 @@ class LevelCuts:
     four per (level, object) read; a target's table is O(n) masks.
     """
 
-    def __init__(self, codes: Codes, sets: Sequence[Tuple[Tuple[int, ...], ...]], cuts: Tuple[int, ...]):
-        """Level cuts under ``codes``, of the parameters' code rows ``sets`` and their beta-cuts ``cuts``."""
+    def __init__(
+        self, codes: Codes, sets: Sequence[Tuple[Tuple[int, ...], ...]], cuts: Tuple[int, ...]
+    ):
+        """Level cuts under ``codes`` of the parameter code rows ``sets``, beta-cut as ``cuts``."""
         self.codes = codes
         self._halves = tuple(zip(*sets))  # per half, each parameter's code row
         self._cuts = cuts
@@ -175,7 +177,7 @@ class LevelCuts:
         return diagonal
 
     def target_cuts(self, row: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
-        """The ``_at_least`` table of a target's code row, kept for the last ``_TARGETS_KEPT`` rows."""
+        """The ``_at_least`` table of a target's code row, kept for the last ``_TARGETS_KEPT``."""
         table = self._targets.get(row)
         if table is None:
             if len(self._targets) == _TARGETS_KEPT:
@@ -246,7 +248,7 @@ class NeighborhoodSystem:
     def encode(
         self, grades: Sequence[IntervalValue]
     ) -> Tuple[LevelCuts, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """``(cuts, (lows, highs))``: level cuts under a code table that numbers the grades, and their codes.
+        """``(cuts, (lows, highs))``: level cuts under codes numbering the grades, and their codes.
 
         The table is the space's own when it numbers every endpoint of the
         grades, with its level cuts built on the first call and kept;
