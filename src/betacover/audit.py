@@ -44,7 +44,7 @@ from .generate import (
     snap_candidates,
 )
 from .intervals import IntervalValue, family_join, family_meet, leq_bool
-from .neighborhoods import NeighborhoodSystem, fuzzy_matrix
+from .neighborhoods import NeighborhoodSystem, code_rows
 from .serialize import parse_set_doc, parse_space_doc, set_to_doc, space_to_doc
 from .space import SoftSpace
 
@@ -280,11 +280,17 @@ def _check_lfam3(ctx: TrialContext) -> CheckResult:
 # in x's neighborhood" and "y's neighborhood is inside x's".
 
 
+def _rows(ctx: TrialContext) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """N's rows as ``(lows, highs)`` code pairs, one per object."""
+    return tuple(zip(*ctx.ns.code_rows))
+
+
 def _grades(ctx: TrialContext):
-    """The fuzzy reading: beta <= N_x(y), tabled from the matrix; N_y below N_x entry by entry."""
-    n, beta = ctx.ns.matrix, ctx.space.beta
-    cut = ctx.cached("beta-cut", lambda: [[leq_bool(beta, g) for g in row] for row in n])
-    return (lambda x, y: cut[x][y]), (lambda y, x: all(map(leq_bool, n[y], n[x])))
+    """The fuzzy reading on N's code rows: beta <= N_x(y), tabled as one cut per row;
+    N_y below N_x on the low and the high codes."""
+    n, cut = _rows(ctx), ctx.ns.cut
+    member = ctx.cached("beta-cut", lambda: [cut(*row) for row in n])
+    return (lambda x, y: bool(member[x] >> y & 1)), (lambda y, x: _code_subset(n[y], n[x]))
 
 
 def _within(small: int, large: int) -> bool:
@@ -328,17 +334,18 @@ def _check_nmono(ctx: TrialContext) -> CheckResult:
     low = ctx.inputs.beta_low
     if not leq_bool(low, ctx.space.beta):
         return _skip("beta_low is not below beta")
-    n_hi, n_lo = ctx.ns.matrix, fuzzy_matrix(ctx.space.mapping, low)
-    return _nowhere(ctx, ("x", "y"), lambda x, y: not leq_bool(n_lo[x][y], n_hi[x][y]))
+    # Both under the mapping's table: beta_low is placed among its codes, never added.
+    hi, lo = ctx.ns.code_rows, code_rows(ctx.space.mapping, low)
+    return _nowhere(ctx, ("x", "y"), lambda x, y: any(a[x][y] > b[x][y] for a, b in zip(lo, hi)))
 
 
 def _check_neq(ctx: TrialContext) -> CheckResult:
-    (member, _), n = _grades(ctx), ctx.ns.matrix
+    (member, _), n = _grades(ctx), _rows(ctx)
     return _nowhere(ctx, ("x", "y"), lambda x, y: (member(x, y) and member(y, x)) != (n[x] == n[y]))
 
 
 def _check_cneq(ctx: TrialContext) -> CheckResult:
-    crisp, n = ctx.ns.crisp_sets, ctx.ns.matrix
+    crisp, n = ctx.ns.crisp_sets, _rows(ctx)
     return _nowhere(ctx, ("x", "y"), lambda x, y: (crisp[x] == crisp[y]) != (n[x] == n[y]))
 
 
@@ -379,7 +386,7 @@ def _lattice_sides(ctx: TrialContext, idx: Sequence[int], ops) -> Tuple[int, int
     combine_masks, combine_codes = ops
     ns = ctx.ns
     lhs = reduce(combine_masks, (ns.crisp_sets[i] for i in idx))
-    lows, highs = (zip(*(half[i] for i in idx)) for half in ns.kernel_codes(1))
+    lows, highs = (zip(*(half[i] for i in idx)) for half in ns.code_rows)
     rhs = ns.cut(map(combine_codes, lows), map(combine_codes, highs))
     return lhs, rhs
 

@@ -92,9 +92,9 @@ def sample_hypothesis_set(
     values themselves are used.
     """
     universe = ns.space.universe
+    diagonal = ns.codes.decode(*([row[i] for i, row in enumerate(half)] for half in ns.code_rows))
     grades = []
-    for i, row in enumerate(ns.matrix):
-        diag = row[i]
+    for diag in diagonal:
         if diag.lo + diag.hi < 1:
             return None
         x_lo = _grid_point(rng, 1 - diag.hi, diag.lo, d)

@@ -17,19 +17,21 @@ code table (``SoftMapping.codes``), with beta placed among the codes by
 and a crisp set a bitmask with bit j for object j.  A beta-cut of a meet
 is the intersection of the beta-cuts, so the crisp sets follow from one
 cut per parameter.  The same holds at every level t (the resolution
-identity of fuzzy sets), so the fuzzy operators read ``LevelCuts``: for
-each object, the objects whose kernel grade is >= t, as bitmasks built
-from per-parameter t-cuts at the levels a search reads, and never the
-n x n kernel.  The fuzzy code
-rows and the ``IntervalValue`` matrices are built only when first read,
-for the matrix readers.  ``fuzzy_matrix`` gives the fuzzy matrix alone,
-for any mapping and beta.
+identity of fuzzy sets).
+
+Each reader has one view of the fuzzy neighborhoods.  The operators read
+``LevelCuts``: for each object, the objects whose kernel grade is >= t,
+as bitmasks built from per-parameter t-cuts at the levels a search
+reads, and never the n x n kernel.  The audit's laws and the hypothesis
+sampler read N's code rows (``code_rows``, kept by the system under the
+same name).  The documents that print grades read them decoded
+(``matrix`` and the per-object neighborhoods).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -51,13 +53,13 @@ Matrix = Tuple[Tuple[IntervalValue, ...], ...]
 _CodeMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def _code_rows(mapping: SoftMapping, beta: Tuple[int, int]) -> Tuple[_CodeMatrix, _CodeMatrix]:
-    """The low and high code rows, under ``mapping.codes``, for beta's ``Codes.at_least`` codes.
+def code_rows(mapping: SoftMapping, beta: IntervalValue) -> Tuple[_CodeMatrix, _CodeMatrix]:
+    """N's low and high code rows under ``mapping.codes``, for any mapping and beta.
 
     Row i is the meet of the sets whose grade at object i dominates beta,
-    or the top row [1,1]^U when no set does.
+    or the top row [1,1]^U when no set does; the mapping need not cover beta.
     """
-    b_lo, b_hi = beta
+    b_lo, b_hi = mapping.codes.at_least(beta)
     sets = mapping.set_codes
     top_row = (mapping.codes.top,) * len(mapping.universe)
     lows, highs = [], []
@@ -69,24 +71,6 @@ def _code_rows(mapping: SoftMapping, beta: Tuple[int, int]) -> Tuple[_CodeMatrix
         lows.append(tuple(map(min, selected[0][0], *(lo for lo, _ in selected))))
         highs.append(tuple(map(min, selected[0][1], *(hi for _, hi in selected))))
     return tuple(lows), tuple(highs)
-
-
-def fuzzy_matrix(mapping: SoftMapping, beta: IntervalValue) -> Matrix:
-    """The fuzzy neighborhood matrix of any mapping and beta, covering or not."""
-    return tuple(map(mapping.codes.decode, *_code_rows(mapping, mapping.codes.at_least(beta))))
-
-
-# Entry-wise combination of N and M giving the kind-3 and kind-4 kernels.
-_COMBINE = {3: min, 4: max}
-
-
-def _kind_number(kind) -> int:
-    """The number 1..4 of a ``Kind`` or of a plain int; ValueError for anything else."""
-    number = getattr(kind, "value", kind)
-    # Checked by type: True and 1.0 would otherwise hash their way to kind 1.
-    if type(number) is not int or not 1 <= number <= 4:
-        raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind!r}")
-    return number
 
 
 def _at_least(row: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -201,18 +185,19 @@ class LevelCuts:
 
 
 class NeighborhoodSystem:
-    """Neighborhood matrices of one space, on its mapping's endpoint codes.
+    """The neighborhoods of one space, on its mapping's endpoint codes.
 
     The crisp sets come from the per-parameter beta-cuts ``c_s``, bitmasks
     built at construction: a beta-cut of a meet is the intersection of the
     cuts, so x's crisp neighborhood is the intersection of the ``c_s`` that
     hold x, its crisp complementary neighborhood the intersection of the
     complements of those that do not, and x has an empty index set when no
-    ``c_s`` holds it.  The level cuts the fuzzy operators read are built on
-    the first ``encode`` call, and the last fuzzy target is kept with its
-    codes and their level cuts (``target_codes``).  The kernels' code
-    rows are built on the first ``kernel_codes`` call and the decoded
-    matrices on first use, for the matrix readers: no operator reads them.
+    ``c_s`` holds it.  The fuzzy neighborhoods have one view per reader,
+    each built on first use and kept: the level cuts of ``encode`` for the
+    operators, with the last fuzzy target kept with its codes and their
+    level cuts (``target_codes``); N's ``code_rows`` for the audit's laws
+    and the hypothesis sampler; and ``matrix``, decoded from the rows, for
+    the documents that print grades.  No operator reads the rows.
     """
 
     def __init__(self, space: SoftSpace):
@@ -231,8 +216,6 @@ class NeighborhoodSystem:
         self.empty_index_objects = frozenset(
             o for i, o in enumerate(space.universe.objects) if not covered >> i & 1
         )
-        self._kernel_codes = {}
-        self._kernels = {}
         self._level_cuts = self._target = self._target_codes = None
 
     @property
@@ -276,40 +259,22 @@ class NeighborhoodSystem:
             self._target, self._target_codes = target, self.encode(target.grades)
         return self._target_codes
 
-    def kernel_codes(self, kind) -> Tuple[_CodeMatrix, _CodeMatrix]:
-        """Low and high codes of a kind's kernel: N, its transpose M, N meet M, N join M.
+    @cached_property
+    def code_rows(self) -> Tuple[_CodeMatrix, _CodeMatrix]:
+        """N's low and high code rows under ``codes``: row i is N of the i-th object."""
+        return code_rows(self.space.mapping, self.space.beta)
 
-        ``kind`` is a ``Kind`` or its number 1..4 as an int; anything else is
-        rejected.
-        """
-        kind = _kind_number(kind)
-        if not self._kernel_codes:
-            n = _code_rows(self.space.mapping, self._beta)
-            self._kernel_codes = {1: n, 2: tuple(tuple(zip(*half)) for half in n)}
-        if kind not in self._kernel_codes:
-            self._kernel_codes[kind] = tuple(
-                tuple(tuple(map(_COMBINE[kind], r1, r2)) for r1, r2 in zip(n, m))
-                for n, m in zip(self._kernel_codes[1], self._kernel_codes[2])
-            )
-        return self._kernel_codes[kind]
-
-    def kernel(self, kind) -> Matrix:
-        """The ``IntervalValue`` matrix of ``kernel_codes(kind)``."""
-        kind = _kind_number(kind)
-        if kind not in self._kernels:
-            self._kernels[kind] = tuple(map(self._codes.decode, *self.kernel_codes(kind)))
-        return self._kernels[kind]
-
-    @property
+    @cached_property
     def matrix(self) -> Matrix:
-        """The fuzzy neighborhood matrix: row i is N of the i-th object."""
-        return self.kernel(1)
+        """The fuzzy neighborhood matrix decoded from ``code_rows``: row i is N of object i."""
+        return tuple(map(self._codes.decode, *self.code_rows))
 
     def fuzzy_neighborhood(self, obj: str) -> IVFuzzySet:
-        return IVFuzzySet(self.space.universe, self.kernel(1)[self.space.universe.index(obj)])
+        return IVFuzzySet(self.space.universe, self.matrix[self.space.universe.index(obj)])
 
     def complementary_fuzzy_neighborhood(self, obj: str) -> IVFuzzySet:
-        return IVFuzzySet(self.space.universe, self.kernel(2)[self.space.universe.index(obj)])
+        i = self.space.universe.index(obj)
+        return IVFuzzySet(self.space.universe, tuple(row[i] for row in self.matrix))
 
     @property
     def crisp_sets(self) -> Tuple[int, ...]:

@@ -124,7 +124,9 @@ class FuzzyTables(tuple):
                 y for y, lo, hi in zip(u.objects, lows, highs) if b_lo <= lo and b_hi <= hi
             ))
 
-        return tuple({x: cut(*row) for x, row in zip(u, rows)} for rows in (scale.n, scale.m))
+        tables = CrispTables({x: cut(*r) for x, r in zip(u, rows)} for rows in (scale.n, scale.m))
+        tables.space = self.space
+        return tables
 
     def scaled(self, target: IVFuzzySet) -> _Scale:
         """The rows with the target's row, over one denominator; the last target's is kept.
@@ -145,12 +147,16 @@ class FuzzyTables(tuple):
         return self._scaled
 
 
+class CrispTables(tuple):
+    """``(n, m)``: crisp neighborhood tables by object name, and the ``space`` they belong to."""
+
+
 def oracle_fuzzy_tables(space: SoftSpace) -> FuzzyTables:
     """Both fuzzy neighborhood tables, computed the definition-literal way."""
     return FuzzyTables(space)
 
 
-def oracle_crisp_tables(space: SoftSpace):
+def oracle_crisp_tables(space: SoftSpace) -> CrispTables:
     """Both crisp neighborhood tables, cut from the definition-literal fuzzy ones."""
     return oracle_fuzzy_tables(space).crisp()
 
@@ -182,9 +188,15 @@ def _scaled_target(space: SoftSpace, target: IVFuzzySet, tables) -> _Scale:
     _check_universe(space, target)
     if tables is None:
         return _Scale.of(space, target.grades)
-    if tables.space is not space and tables.space != space:
+    return _check_space(space, tables).scaled(target)
+
+
+def _check_space(space: SoftSpace, tables):
+    """The tables; ValueError if they carry another space (tables that carry none pass)."""
+    other = getattr(tables, "space", space)
+    if other is not space and other != space:
         raise ValueError("oracle tables belong to a different space")
-    return tables.scaled(target)
+    return tables
 
 
 def _fuzzy_result(space: SoftSpace, scale: _Scale, grades) -> IVFuzzySet:
@@ -242,7 +254,7 @@ def oracle_fuzzy_upper(space: SoftSpace, kind, target: IVFuzzySet, tables=None) 
 def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
     kind = Kind.of(kind)
     _check_universe(space, target)
-    sn, sm = tables if tables is not None else oracle_crisp_tables(space)
+    sn, sm = oracle_crisp_tables(space) if tables is None else _check_space(space, tables)
     members = set()
     for x in space.universe:
         n_in = sn[x].members <= target.members
@@ -263,7 +275,7 @@ def oracle_crisp_lower(space: SoftSpace, kind, target: CrispSubset, tables=None)
 def oracle_crisp_upper(space: SoftSpace, kind, target: CrispSubset, tables=None) -> CrispSubset:
     kind = Kind.of(kind)
     _check_universe(space, target)
-    sn, sm = tables if tables is not None else oracle_crisp_tables(space)
+    sn, sm = oracle_crisp_tables(space) if tables is None else _check_space(space, tables)
     members = set()
     for x in space.universe:
         n_hits = bool(sn[x].members & target.members)

@@ -73,6 +73,23 @@ def kind3_gap_space(xyz):
     )
 
 
+def kernels(rows):
+    """The four kernels' ``(lows, highs)`` code rows by kind number, from N's code rows.
+
+    Kind 1 is N, kind 2 its transpose M, kind 3 N meet M and kind 4 N join M,
+    the meet and the join taken entry by entry on the low and the high codes.
+    """
+    m = tuple(tuple(zip(*half)) for half in rows)
+
+    def combine(op):
+        return tuple(
+            tuple(tuple(map(op, a, b)) for a, b in zip(n_half, m_half))
+            for n_half, m_half in zip(rows, m)
+        )
+
+    return {1: rows, 2: m, 3: combine(min), 4: combine(max)}
+
+
 def fuzzy(universe, **grades) -> IVFuzzySet:
     return IVFuzzySet.from_dict(universe, {o: iv(t) for o, t in grades.items()})
 

@@ -46,6 +46,7 @@ from conftest import (
     fuzzy,
     hostile_interval,
     iv,
+    kernels,
     make_space,
     mixed_intervals,
     mixed_spaces,
@@ -252,14 +253,27 @@ class TestAgainstOracle:
             assert operator(own, 1, x, oracle_fuzzy_tables(twin)) == operator(own, 1, x)
         with pytest.raises(ValueError, match="different space"):
             fuzzy_upper(own, 1, x, NeighborhoodSystem(other))
+        # The crisp tables carry their space too.  With the tables of seed 4,
+        # the kind-1 lower approximation of {x3} on seed 1 read {x3}.
+        a, b = gen_space(GenConfig(3, 2, seed=1)), gen_space(GenConfig(3, 2, seed=4))
+        x3 = CrispSubset.of(a.universe, ["x3"])
+        assert oracle_crisp_lower(a, 1, x3).members == frozenset()
+        for operator in (oracle_crisp_lower, oracle_crisp_upper):
+            with pytest.raises(ValueError, match="different space"):
+                operator(a, 1, x3, oracle_crisp_tables(b))
+            twin = oracle_crisp_tables(gen_space(GenConfig(3, 2, seed=1)))
+            assert operator(a, 1, x3, twin) == operator(a, 1, x3)
+            # Tables that carry no space, such as a plain tuple, are taken as given.
+            assert operator(a, 1, x3, tuple(twin)) == operator(a, 1, x3)
 
 
 def assert_matches_oracle(space, ns, fx, cx):
     """The system's matrices and cuts, and all 16 operator results, equal the oracle's."""
     u = space.universe
     fuzzy_tables, crisp_tables = oracle_fuzzy_tables(space), oracle_crisp_tables(space)
-    for kind, table in zip((1, 2), fuzzy_tables):
-        assert ns.kernel(kind) == tuple(table[x].grades for x in u)
+    n = ns.matrix
+    for kernel, table in zip((n, tuple(zip(*n))), fuzzy_tables):
+        assert kernel == tuple(table[x].grades for x in u)
     for x in u:
         assert ns.crisp_neighborhood(x) == crisp_tables[0][x]
         assert ns.complementary_crisp_neighborhood(x) == crisp_tables[1][x]
@@ -273,13 +287,14 @@ def assert_matches_oracle(space, ns, fx, cx):
 def kernel_upper(ns: NeighborhoodSystem, codes, kind, target, lower: bool):
     """The operator by its definition on codes: per object, the join over y of K(x, y) meet X(y).
 
-    The kernel is ``ns.kernel_codes(kind)``, carried to ``codes`` (the
-    space's or a widening of them) point by point; the lower operator is
-    the complement of the upper one on the complement.
+    The kernel is built from N's code rows (``conftest.kernels``), carried
+    to ``codes`` (the space's or a widening of them) point by point; the
+    lower operator is the complement of the upper one on the complement.
     """
     index = {p: k for k, p in enumerate(codes.points)}
     remap = [index[p] for p in ns.codes.points]
-    kernel = [[[remap[c] for c in row] for row in half] for half in ns.kernel_codes(kind)]
+    kernel = kernels(ns.code_rows)[kind.value]
+    kernel = [[[remap[c] for c in row] for row in half] for half in kernel]
     x = codes.complement(*target) if lower else target
     upper = tuple(tuple(max(map(min, row, t)) for row in half) for half, t in zip(kernel, x))
     return codes.complement(*upper) if lower else upper

@@ -119,7 +119,8 @@ class TestCheck:
 
 
 # Stand-in neighborhood systems over x, y, z with beta [0.5,0.5], each
-# broken so that the named law fails: I and M reach beta, O does not.
+# broken so that the named law fails: I and M reach beta, O does not.  A
+# stand-in gives its matrix as code rows under the fixture space's table.
 I, M, O = iv("[1,1]"), iv("[0.6,0.6]"), iv("[0,0]")
 FULL = 0b111
 TOP_ROWS = ((I, I, I),) * 3
@@ -141,13 +142,19 @@ BROKEN_SYSTEMS = {
 class TestEveryNeighborhoodLawCanFail:
     @pytest.fixture
     def space(self, xyz):
-        return make_space(xyz.objects, {"e1": {o: "[1,1]" for o in xyz}}, "[0.5,0.5]")
+        # e2 misses beta everywhere; it makes the space's table number M.
+        table = {"e1": {o: "[1,1]" for o in xyz}, "e2": {o: "[0,0.6]" for o in xyz}}
+        return make_space(xyz.objects, table, "[0.5,0.5]")
 
     @pytest.mark.parametrize("theorem", sorted(BROKEN_SYSTEMS))
     def test_broken_system_fails_and_names_its_objects(self, theorem, space):
         matrix, crisp, names = BROKEN_SYSTEMS[theorem]
         stand_in = SimpleNamespace(
-            space=space, matrix=matrix, crisp_sets=crisp, complementary_crisp_sets=crisp
+            space=space,
+            code_rows=tuple(zip(*map(space.mapping.codes.encode, matrix))),
+            cut=NeighborhoodSystem(space).cut,
+            crisp_sets=crisp,
+            complementary_crisp_sets=crisp,
         )
         inputs = replace(make_inputs(space), beta_low=space.beta)
         result = REGISTRY[theorem].checker(TrialContext(stand_in, inputs))
@@ -263,6 +270,30 @@ class TestTrialCosts:
         assert len(in_passing) > 1000 and sum(in_passing) == 0
         hash(IntervalValue.of(0, 0))
         assert counts["hash"] == 1  # the wrapper is the hash Python calls
+
+    def test_trials_read_no_decoded_matrix(self, monkeypatch):
+        reads = []
+        matrix = NeighborhoodSystem.__dict__["matrix"]
+        monkeypatch.setattr(
+            NeighborhoodSystem, "matrix", property(lambda ns: reads.append("matrix") or
+                                                   matrix.__get__(ns, NeighborhoodSystem))
+        )
+        for name in ("fuzzy_neighborhood", "complementary_fuzzy_neighborhood"):
+            method = getattr(NeighborhoodSystem, name)
+            monkeypatch.setattr(
+                NeighborhoodSystem, name,
+                lambda ns, obj, method=method, name=name: reads.append(name) or method(ns, obj),
+            )
+        cfg = GenConfig(universe_size=6, parameter_count=5, grid_denominator=20, seed=202)
+        report = run_audit(cfg, trials=20)
+        assert report.stats["N-MONO"].trials == 20
+        assert reads == []
+        ns = NeighborhoodSystem(gen_space(cfg))
+        ns.fuzzy_neighborhood("x1"), ns.complementary_fuzzy_neighborhood("x1")
+        # The wrappers are what Python calls: each neighborhood reads the matrix.
+        assert reads == [
+            "fuzzy_neighborhood", "matrix", "complementary_fuzzy_neighborhood", "matrix"
+        ]
 
     def test_memo_calls_and_hits_are_pinned(self, monkeypatch):
         # 100 trials of each criterion-2 config; a hit adds no memo entry.

@@ -31,7 +31,7 @@ The oracle is the independent check on the fast path, so it takes only
 ``intervals`` only ``IntervalValue`` and the ``scaled_endpoints`` helper.  The operators in ``approximations`` work on
 endpoint codes, so they import none of the per-entry interval operations,
 and the fuzzy ones read level cuts, so ``approximations`` names no kernel
-matrix reader (``kernel``, ``kernel_codes``, ``matrix`` and the like).
+reader (``code_rows``, ``matrix`` and the like).
 
 Every public module-level function and class has a user outside the tests:
 its own module, another package module, ``perfbench``, a demo,
@@ -346,7 +346,7 @@ def codes_constructions(path: Path) -> list:
 
 
 def test_a_code_table_is_built_only_for_a_mapping_and_by_widen():
-    # One table per mapping: the neighborhood system and fuzzy_matrix reuse
+    # One table per mapping: the neighborhood system and code_rows reuse
     # the mapping's, and a target off its points widens a copy.
     built = [
         (path.name, function) for path in MODULES for _, function in codes_constructions(path)
@@ -472,11 +472,12 @@ def test_the_operator_guard_sees_every_form(tmp_path):
     ]
 
 
-# The fuzzy operators read the level cuts alone; the kernel matrices are for
-# the matrix readers (the neighborhood command, the audit's laws).
+# The fuzzy operators read the level cuts alone; N's code rows are for the
+# audit's laws and the hypothesis sampler, the decoded matrix for the
+# neighborhood command.
 KERNEL_READERS = {
     "kernel", "kernel_codes", "matrix", "matrix_json", "fuzzy_matrix",
-    "fuzzy_neighborhood", "complementary_fuzzy_neighborhood",
+    "fuzzy_neighborhood", "complementary_fuzzy_neighborhood", "code_rows",
 }
 
 

@@ -23,14 +23,14 @@ from betacover import (
 from betacover.cli import run_cli
 from betacover.generate import GenConfig, exhaustive_spaces, gen_space, grid_intervals, object_names
 from betacover.intervals import join, leq_bool, meet
-from betacover.neighborhoods import fuzzy_matrix
+from betacover.neighborhoods import code_rows
 from betacover.serialize import dumps, set_to_doc, space_to_doc
 from betacover.oracle import (
     oracle_crisp_tables,
     oracle_fuzzy_tables,
 )
 
-from conftest import fuzzy, hostile_interval, iv, mixed_spaces
+from conftest import fuzzy, hostile_interval, iv, kernels, mixed_spaces
 
 
 class TestDerivedSpace:
@@ -104,29 +104,17 @@ class TestMatrices:
             co = {y for j, y in enumerate(xyz.objects) if ns.complementary_crisp_sets[i] >> j & 1}
             assert co == ns.complementary_crisp_neighborhood(o).members
 
-    def test_kernels_by_kind_or_number(self, derived_space):
+    def test_kernels_by_kind_from_the_rows(self, derived_space, xyz):
         ns = NeighborhoodSystem(derived_space)
-        n, m = ns.kernel(1), ns.kernel(2)
-        assert n == ns.matrix
+        n = ns.matrix
+        m = tuple(ns.complementary_fuzzy_neighborhood(o).grades for o in xyz.objects)
         assert m == tuple(zip(*n))
         met = tuple(tuple(map(meet, r1, r2)) for r1, r2 in zip(n, m))
         joined = tuple(tuple(map(join, r1, r2)) for r1, r2 in zip(n, m))
-        assert ns.kernel(3) == met and ns.kernel(4) == joined
-        for kind in Kind:
-            assert ns.kernel(kind) is ns.kernel(kind.value)
-
-    @pytest.mark.parametrize("kind", [0, 5, "3", None])
-    def test_kernel_rejects_other_keys(self, derived_space, kind):
-        with pytest.raises(ValueError):
-            NeighborhoodSystem(derived_space).kernel(kind)
-
-    @pytest.mark.parametrize("kind", [1.0, True, 2.0, 4.0])
-    def test_kernels_reject_what_only_hashes_like_a_number(self, derived_space, kind):
-        ns = NeighborhoodSystem(derived_space)
-        with pytest.raises(ValueError):
-            ns.kernel_codes(kind)
-        with pytest.raises(ValueError):
-            ns.kernel(kind)
+        decoded = {
+            kind: tuple(map(ns.codes.decode, *rows)) for kind, rows in kernels(ns.code_rows).items()
+        }
+        assert decoded == {1: n, 2: m, 3: met, 4: joined}
 
 
 class TestEmptyIndexConvention:
@@ -209,7 +197,7 @@ def hostile_space(objects: int, parameters: int, seed: str) -> SoftSpace:
 def assert_cuts_match_the_definition(space: SoftSpace):
     """The bitmasks from the per-parameter cuts against crisp_of and the oracle."""
     ns, u, beta = NeighborhoodSystem(space), space.universe, space.beta
-    n = fuzzy_matrix(space.mapping, beta)
+    n = tuple(map(space.mapping.codes.decode, *code_rows(space.mapping, beta)))
     crisp, co = oracle_crisp_tables(space)
     sets = [CrispSubset.from_mask(u, mask) for mask in ns.crisp_sets]
     co_sets = [CrispSubset.from_mask(u, mask) for mask in ns.complementary_crisp_sets]
@@ -261,7 +249,8 @@ class TestCutIdentity:
                 assert_cuts_match_the_definition(space)
                 fuzzy_tables = oracle_fuzzy_tables(space)
                 expected = tuple(fuzzy_tables[0][x].grades for x in space.universe)
-                assert fuzzy_matrix(mapping, beta) == expected == NeighborhoodSystem(space).matrix
+                n = tuple(map(mapping.codes.decode, *code_rows(mapping, beta)))
+                assert n == expected == NeighborhoodSystem(space).matrix
         assert off_table >= 20
 
 
@@ -274,13 +263,13 @@ class TestFuzzyRowsOnDemand:
     @pytest.fixture
     def row_builds(self, monkeypatch):
         calls = []
-        real = neighborhoods._code_rows
+        real = neighborhoods.code_rows
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(neighborhoods, "_code_rows", counted)
+        monkeypatch.setattr(neighborhoods, "code_rows", counted)
         return calls
 
     def test_library_requests(self, derived_space, xyz, row_builds):
@@ -296,7 +285,7 @@ class TestFuzzyRowsOnDemand:
         fuzzy_target = fuzzy(xyz, x="[0.5,0.5]", y="[0.2,0.3]", z="[0.6,0.8]")
         for kind in Kind:
             approximate(derived_space, kind, fuzzy_target, ns)
-            ns.kernel(kind), ns.kernel_codes(kind)
+            kernels(ns.code_rows)[kind.value]
         ns.matrix, ns.fuzzy_neighborhood("x"), ns.complementary_fuzzy_neighborhood("z")
         assert len(row_builds) == 1
         approximate(derived_space, 3, fuzzy_target)
