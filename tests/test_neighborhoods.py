@@ -116,6 +116,34 @@ class TestMatrices:
         }
         assert decoded == {1: n, 2: m, 3: met, 4: joined}
 
+    # The operators pick a system's kernel by the kind they are given.
+    def test_kernels_by_kind_or_number(self, derived_space, xyz):
+        ns = NeighborhoodSystem(derived_space)
+        targets = (
+            fuzzy(xyz, x="[0.5,0.5]", y="[0.2,0.3]", z="[0.6,0.8]"),
+            CrispSubset.of(xyz, ["x", "z"]),
+        )
+        for kind in Kind:
+            for target in targets:
+                pair = approximate(derived_space, kind, target, ns)
+                assert pair.kind is kind
+                assert pair == approximate(derived_space, kind.value, target, ns)
+
+    @pytest.mark.parametrize("kind", [0, 5, "K3", None])
+    def test_kernel_rejects_other_keys(self, derived_space, xyz, kind):
+        ns = NeighborhoodSystem(derived_space)
+        with pytest.raises(ValueError):
+            approximate(derived_space, kind, CrispSubset.of(xyz, ["x"]), ns)
+
+    @pytest.mark.parametrize("kind", [1.0, True, 2.0, 4.0])
+    def test_kernels_reject_what_only_hashes_like_a_number(self, derived_space, xyz, kind):
+        ns = NeighborhoodSystem(derived_space)
+        with pytest.raises(ValueError):
+            approximate(derived_space, kind, CrispSubset.of(xyz, ["x"]), ns)
+        target = fuzzy(xyz, x="[0.5,0.5]", y="[0.2,0.3]", z="[0.6,0.8]")
+        with pytest.raises(ValueError):
+            approximate(derived_space, kind, target, ns)
+
 
 class TestEmptyIndexConvention:
     def test_convention_row_is_top_and_flagged(self, gap_space, xyz):
